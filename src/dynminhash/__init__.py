@@ -14,7 +14,7 @@ The package provides:
 """
 
 from .baselines import BssProactiveSketch, BssSketch, VanillaSketch
-from .core import TOP, BufferedSketch, Signature, make_key, smallest, split_key
+from .core import TOP, BufferedSketch, Signature, make_key, split_key
 from .errors import (
     BandingInfeasibleError,
     EmptyRowError,
@@ -85,7 +85,6 @@ __all__ = [
     "read_stream",
     "rmse",
     "score_acp",
-    "smallest",
     "split_key",
     "write_stream",
 ]

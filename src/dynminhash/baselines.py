@@ -55,6 +55,8 @@ class VanillaSketch:
 
     def delete(self, x: int, recover) -> None:
         """Drop x; one recovery query and a full recompute if x is any argmin."""
+        if not 0 <= x < MAX_UNIVERSE:
+            raise ValueError(f"element {x} outside 32-bit universe")
         entries = self._entries
         if entries[0] == TOP:
             return
@@ -86,7 +88,11 @@ class VanillaSketch:
     def from_bytes(cls, data: bytes, family: HashFamily | None = None) -> "VanillaSketch":
         if data[:4] != cls.MAGIC:
             raise ValueError("bad magic: not a vanilla-sketch checkpoint")
+        if len(data) < 16:
+            raise ValueError("corrupt checkpoint: truncated header")
         k, seed = struct.unpack_from("<IQ", data, 4)
+        if len(data) != 16 + 8 * k:
+            raise ValueError(f"corrupt checkpoint: {len(data)} bytes, k={k} implies {16 + 8 * k}")
         if family is None:
             family = HashFamily(k, seed)
         elif family.k != k or family.master_seed != seed:
@@ -171,9 +177,14 @@ class BssSketch:
     def from_bytes(cls, data: bytes) -> "BssSketch":
         if data[:4] != cls.MAGIC:
             raise ValueError("bad magic: not a counter-sketch checkpoint")
+        if len(data) < 28:
+            raise ValueError("corrupt checkpoint: truncated header")
         c2, rows, seed, n = struct.unpack_from("<IIQq", data, 4)
+        if len(data) != 28 + 8 * rows * c2:
+            raise ValueError(f"corrupt checkpoint: {len(data)} bytes, rows={rows} and "
+                             f"c2={c2} imply {28 + 8 * rows * c2}")
         sketch = cls(c2, rows, seed)
-        flat = np.frombuffer(data, dtype="<i8", count=rows * c2, offset=4 + 24)
+        flat = np.frombuffer(data, dtype="<i8", count=rows * c2, offset=28)
         sketch.counters = flat.astype(np.int64).reshape(rows, c2)
         sketch.n = n
         return sketch

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from itertools import combinations
-from statistics import mean, median, pstdev
+from statistics import mean, median, pstdev, stdev
 
 import numpy as np
 
@@ -100,6 +100,8 @@ def fault_sweep(n: int, k: int, ells, reps: int, seed: int, universe_bits: int =
 
     Streams and hash families are paired across buffer sizes (same per-rep
     seeds) so fault counts are directly comparable along the sweep.
+    ``sd_faults`` is the sample standard deviation of the per-run fault
+    counts (NaN for a single rep).
     """
     universe = 1 << universe_bits
     rows = []
@@ -122,6 +124,7 @@ def fault_sweep(n: int, k: int, ells, reps: int, seed: int, universe_bits: int =
             "mean_time_s": mean(times),
             "median_time_s": median(times),
             "mean_faults": mean(faults),
+            "sd_faults": stdev(faults) if reps > 1 else float("nan"),
         })
     return rows
 

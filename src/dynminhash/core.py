@@ -16,6 +16,7 @@ sentinel TOP, standing for the (+inf, +inf) pair; no real pair exceeds it.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 
 import numpy as np
 
@@ -43,16 +44,6 @@ def split_key(key: int) -> tuple:
     """Unpack a uint64 key back into the (hash, element) pair."""
     key = int(key)
     return key >> 32, key & 0xFFFFFFFF
-
-
-def smallest(pairs, r: int):
-    """The r smallest (hash, element) pairs of ``pairs``, sorted ascending.
-
-    Returns all of ``pairs`` (sorted) when there are at most r of them.
-    """
-    if r < 1:
-        raise ValueError(f"r must be positive, got {r}")
-    return sorted(pairs)[:r]
 
 
 def _as_element_array(elements) -> np.ndarray:
@@ -194,25 +185,29 @@ class BufferedSketch:
                                self._buf, self._size, self._delta, self.ell)
             return
         keys = self.family.key_one(x)
+        rows = (keys <= self._delta).nonzero()[0]
+        if not rows.size:
+            return  # above every threshold: the common case once buffers fill
         ell = self.ell
         buf, size, delta = self._buf, self._size, self._delta
-        for i in np.flatnonzero(keys <= delta):
+        # Python-int work per admitting row: numpy-scalar calls cost more than
+        # the comparisons themselves. The search covers the whole row, TOP
+        # padding included, so a pair key equal to TOP counts as buffered.
+        for i, key in zip(rows.tolist(), keys[rows].tolist()):
             row = buf[i]
-            key = keys[i]
-            pos = int(np.searchsorted(row, key))
-            if pos < ell and row[pos] == key:
+            vals = row.tolist()
+            pos = bisect_left(vals, key)
+            if pos < ell and vals[pos] == key:
                 continue  # pair already buffered
             s = int(size[i])
-            if s == ell:
-                row[pos + 1:] = row[pos:ell - 1].copy()
-                row[pos] = key
-                delta[i] = row[ell - 1]
-            else:
-                row[pos + 1:s + 1] = row[pos:s].copy()
-                row[pos] = key
+            if s < ell:
                 size[i] = s + 1
-                if s + 1 == ell:
-                    delta[i] = row[ell - 1]
+            else:
+                s = ell - 1  # full: the last key drops out
+            row[pos + 1:s + 1] = row[pos:s]
+            row[pos] = key
+            if s + 1 == ell:  # full after the insert: its last key is the threshold
+                delta[i] = key if pos == s else vals[s - 1]
 
     def delete(self, x: int, recover) -> None:
         """Remove element x; rebuild via ``recover`` if a buffer would empty.
@@ -223,10 +218,10 @@ class BufferedSketch:
         error is re-raised as RecoveryError and the sketch keeps its
         pre-delete state. Deleting an absent element is a no-op.
         """
-        if self._size[0] == 0:
-            return  # empty set: nothing buffered anywhere
         if not 0 <= x < MAX_UNIVERSE:
             raise ValueError(f"element {x} outside 32-bit universe")
+        if self._size[0] == 0:
+            return  # empty set: nothing buffered anywhere
         if _kernels.ENABLED:
             fault = _kernels.delete_op(self.family._packed_keys(), np.uint64(x),
                                        self._buf, self._size, self._delta)
@@ -234,22 +229,22 @@ class BufferedSketch:
                 self._recover_and_rebuild(recover)
             return
         keys = self.family.key_one(x)
+        rows = (keys <= self._delta).nonzero()[0]
+        if not rows.size:
+            return
+        ell = self.ell
         buf, size = self._buf, self._size
         hits = []
-        fault = False
-        for i in np.flatnonzero(keys <= self._delta):
-            row = buf[i]
-            pos = int(np.searchsorted(row, keys[i]))
-            if pos < self.ell and row[pos] == keys[i]:
-                hits.append((int(i), pos))
-                if size[i] == 1:
-                    fault = True
-        if fault:
+        for i, key in zip(rows.tolist(), keys[rows].tolist()):
+            vals = buf[i].tolist()
+            pos = bisect_left(vals, key)
+            if pos < ell and vals[pos] == key:
+                hits.append((i, pos, int(size[i])))
+        if any(s == 1 for _, _, s in hits):
             self._recover_and_rebuild(recover)
             return
-        for i, pos in hits:
+        for i, pos, s in hits:
             row = buf[i]
-            s = int(size[i])
             row[pos:s - 1] = row[pos + 1:s]
             row[s - 1] = TOP
             size[i] = s - 1
@@ -379,25 +374,34 @@ class BufferedSketch:
         """
         if data[:4] != cls.MAGIC:
             raise ValueError("bad magic: not a buffered-sketch checkpoint")
+        if len(data) < 20:
+            raise ValueError("corrupt checkpoint: truncated header")
         k, ell, seed = struct.unpack_from("<IIQ", data, 4)
+        # Walk the rows before building anything, so a header that claims
+        # more than the data holds fails in O(len(data)).
+        rows = []
+        off = 20
+        for _ in range(k):
+            if off + 12 > len(data):
+                raise ValueError("corrupt checkpoint: truncated")
+            delta, s = struct.unpack_from("<QI", data, off)
+            if s > ell:
+                raise ValueError("corrupt checkpoint: buffer larger than ell")
+            rows.append((delta, s, off + 12))
+            off += 12 + 8 * s
+        if off > len(data):
+            raise ValueError("corrupt checkpoint: truncated")
+        if off < len(data):
+            raise ValueError("corrupt checkpoint: trailing bytes")
         if family is None:
             family = HashFamily(k, seed)
         elif family.k != k or family.master_seed != seed:
             raise ValueError("supplied family does not match the checkpoint")
         sketch = cls(family, ell)
-        off = 4 + 16
-        for i in range(k):
-            delta, s = struct.unpack_from("<QI", data, off)
-            off += 12
-            if s > ell:
-                raise ValueError("corrupt checkpoint: buffer larger than ell")
-            row = np.frombuffer(data, dtype="<u8", count=s, offset=off)
-            off += 8 * s
-            sketch._buf[i, :s] = row
+        for i, (delta, s, start) in enumerate(rows):
+            sketch._buf[i, :s] = np.frombuffer(data, dtype="<u8", count=s, offset=start)
             sketch._size[i] = s
-            sketch._delta[i] = np.uint64(delta)
-        if off != len(data):
-            raise ValueError("corrupt checkpoint: trailing bytes")
+            sketch._delta[i] = delta
         return sketch
 
     def state_equal(self, other: "BufferedSketch") -> bool:

@@ -245,8 +245,8 @@ def test_criterion_05_fault_decay_shape():
     # the k buffers would have to keep an element among the last ~ell to be
     # deleted, probability about (1 - (1 - ell/n)^ell)^k: 1e-65 at ell=32.
     # So the floor is checked two-sided against the rank model, ell by ell.
-    # fault_sweep reports means only, so the sketch's per-run spread is taken
-    # to be the model's: the same distribution if the sketch keeps the rule.
+    # The sketch's per-run spread is taken to be the model's: the same
+    # distribution if the sketch keeps the rule.
     # Tolerance: 4 standard errors of the difference of means, and at least
     # 4/reps (four runs off by one fault), which binds at ell >= 32, where the
     # model's spread is about 0.

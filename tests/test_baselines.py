@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,13 @@ class TestVanilla:
         assert np.array_equal(clone._entries, sk._entries)
         with pytest.raises(ValueError):
             VanillaSketch.from_bytes(b"XXXX" + sk.to_bytes()[4:])
+
+    @pytest.mark.parametrize("x", [2**40, -5])
+    def test_delete_rejects_element_outside_universe(self, x):
+        fam = new_family(2, 3)
+        for sk in (VanillaSketch(fam), VanillaSketch.init(range(10), fam)):
+            with pytest.raises(ValueError):
+                sk.delete(x, lambda: [])
 
 
 class TestBss:
@@ -268,3 +277,32 @@ class TestBssProactive:
         sk.update(a, -1)
         assert np.array_equal(sk.row_sigs, before)
         assert sk.fault_count == 0
+
+
+def _bss_checkpoint():
+    sk = BssSketch(c2=8, universe_bits=6, seed=9)
+    for x in range(30):
+        sk.insert(x)
+    return sk.to_bytes()
+
+
+@pytest.mark.parametrize("loader,data", [
+    (VanillaSketch.from_bytes, VanillaSketch.init(range(20), new_family(4, 8)).to_bytes()),
+    (BssSketch.from_bytes, _bss_checkpoint()),
+])
+def test_every_truncated_checkpoint_prefix_rejected(loader, data):
+    for cut in range(len(data)):
+        with pytest.raises(ValueError):
+            loader(data[:cut])
+    with pytest.raises(ValueError):
+        loader(data + b"\x00")
+
+
+@pytest.mark.parametrize("loader,data", [
+    (VanillaSketch.from_bytes, b"VMH1" + struct.pack("<IQ", 1 << 31, 0)),
+    (BssSketch.from_bytes, b"BSS1" + struct.pack("<IIQq", (1 << 32) - 1, 32, 0, 0)),
+])
+def test_oversized_header_rejected(loader, data):
+    # Fails on the data's length, before a family or counter matrix is built.
+    with pytest.raises(ValueError):
+        loader(data)

@@ -22,6 +22,7 @@ class TestBench:
         assert _strip_timing(rows) == _strip_timing(again)
         assert [row["ell"] for row in rows] == [2, 8]
         assert rows[0]["mean_faults"] >= rows[1]["mean_faults"]
+        assert all(row["sd_faults"] >= 0 for row in rows)
 
     def test_speedup_smoke(self):
         rows = bench.speedup([256], k=8, ell=8, reps=2, seed=2, universe_bits=14)
@@ -100,6 +101,18 @@ class TestCli:
         assert [row["ell"] for row in rows] == ["2", "4"]
         assert rows[0]["schema"] == "fault-sweep/1"
         assert "mean_faults" in rows[0]
+        assert rows[0]["sd_faults"] == "nan"  # undefined for one rep
+
+    def test_fault_sweep_csv_spread_is_deterministic(self, tmp_path):
+        spreads = []
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            assert run(["fault-sweep", "--n", "128", "--k", "4", "--ells", "2,4",
+                        "--reps", "3", "--seed", "1", "--out", str(out)]) == 0
+            with open(out) as fh:
+                spreads.append([float(row["sd_faults"]) for row in csv.DictReader(fh)])
+        assert spreads[0] == spreads[1]
+        assert all(sd >= 0 for sd in spreads[0])
 
     def test_speedup_json(self, tmp_path):
         out = tmp_path / "speedup.json"

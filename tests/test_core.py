@@ -1,31 +1,17 @@
+import struct
+from bisect import insort
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynminhash.core import TOP, BufferedSketch, Signature, make_key, smallest, split_key
+from dynminhash.core import TOP, BufferedSketch, Signature, make_key, split_key
 from dynminhash.errors import EmptySetError, RecoveryError
 from dynminhash.hashing import new_family
 from dynminhash.streams import SetStore, StreamOp
 
 from conftest import ref_signature
-
-
-class TestSmallest:
-    def test_returns_r_smallest(self):
-        x = [(5, 10), (2, 11), (9, 12)]
-        assert smallest(x, 2) == [(2, 11), (5, 10)]
-
-    def test_returns_all_when_small(self):
-        x = [(5, 10), (2, 11), (9, 12)]
-        assert smallest(x, 10) == sorted(x)
-
-    def test_tie_break_by_element(self):
-        assert smallest([(4, 8), (4, 3)], 1) == [(4, 3)]
-
-    def test_rejects_nonpositive_r(self):
-        with pytest.raises(ValueError):
-            smallest([(1, 1)], 0)
 
 
 def test_key_roundtrip():
@@ -145,6 +131,13 @@ class TestDelete:
         sk.delete(victim, lambda: [x for x in elements if x != victim])
         assert sk.to_bytes() == before
 
+    @pytest.mark.parametrize("x", [2**40, -5])
+    def test_rejects_element_outside_universe(self, x):
+        fam = new_family(2, 3)
+        for sk in (BufferedSketch(fam, 2), BufferedSketch.init(range(10), fam, 2)):
+            with pytest.raises(ValueError):
+                sk.delete(x, lambda: [])
+
     def test_recovery_failure_preserves_state(self, id_family):
         sk = BufferedSketch.init([4, 9], id_family, 1)
         before = sk.to_bytes()
@@ -228,6 +221,17 @@ class TestSerialization:
         sk = BufferedSketch.init(range(10), new_family(2, 41), 2)
         with pytest.raises(ValueError):
             BufferedSketch.from_bytes(sk.to_bytes(), family=new_family(2, 42))
+
+    def test_every_truncated_prefix_rejected(self):
+        data = BufferedSketch.init(range(40), new_family(5, 31), 6).to_bytes()
+        for cut in range(len(data)):
+            with pytest.raises(ValueError):
+                BufferedSketch.from_bytes(data[:cut])
+
+    def test_oversized_header_rejected(self):
+        # Fails on the data's length, before a 200000-function family is built.
+        with pytest.raises(ValueError):
+            BufferedSketch.from_bytes(b"BMH1" + struct.pack("<IIQ", 200000, 32, 0))
 
     def test_empty_sketch_roundtrip(self):
         sk = BufferedSketch(new_family(2, 43), 3)
@@ -339,3 +343,91 @@ def test_nonlegal_stream_matches_deduplicated_legal_stream():
         return sk
 
     assert run(noisy).to_bytes() == run(legal).to_bytes()
+
+
+class _BufferModel:
+    """The buffer rules in plain Python: one sorted key list per function.
+
+    Keys are ``(h << 32) | x``. A threshold is TOP until its list is full;
+    an admitted insert into a full list pushes out the last key and the new
+    last key becomes the threshold. A delete that would empty a list rebuilds
+    every list from the recovered set; any other delete removes the key and
+    keeps the threshold. ``events`` counts the cases a stream has exercised.
+    """
+
+    def __init__(self, family, ell):
+        self.fns = family.functions
+        self.ell = ell
+        self.lists = [[] for _ in self.fns]
+        self.delta = [int(TOP)] * len(self.fns)
+        self.events = dict.fromkeys(("duplicate", "phantom", "fault", "last_slot"), 0)
+
+    def keys(self, x):
+        return [(fn(x) << 32) | x for fn in self.fns]
+
+    def insert(self, x):
+        for i, key in enumerate(self.keys(x)):
+            keys = self.lists[i]
+            if key > self.delta[i] or key in keys:
+                continue
+            full = len(keys) == self.ell
+            insort(keys, key)
+            if full:
+                keys.pop()
+                self.events["last_slot"] += keys[-1] == key
+            if len(keys) == self.ell:
+                self.delta[i] = keys[-1]
+
+    def delete(self, x, members):
+        keys = self.keys(x)
+        hits = [i for i, key in enumerate(keys) if key in self.lists[i]]
+        if any(len(self.lists[i]) == 1 for i in hits):
+            self.events["fault"] += bool(members)
+            self.rebuild(members)
+            return
+        for i in hits:
+            self.lists[i].remove(keys[i])
+
+    def rebuild(self, members):
+        for i, fn in enumerate(self.fns):
+            keys = sorted((fn(x) << 32) | x for x in members)[:self.ell]
+            self.lists[i] = keys
+            self.delta[i] = keys[-1] if len(keys) == self.ell else int(TOP)
+
+    def assert_matches(self, sketch):
+        assert sketch._size.tolist() == [len(keys) for keys in self.lists]
+        assert sketch._delta.tolist() == self.delta
+        padded = [keys + [int(TOP)] * (self.ell - len(keys)) for keys in self.lists]
+        assert sketch._buf.tolist() == padded
+
+
+@pytest.mark.parametrize("ell", [1, 2, 5, 32])
+def test_state_matches_buffer_model(ell):
+    """Buffers, sizes and thresholds equal the plain-Python model after every
+    op of a stream with duplicate inserts, phantom deletes and faults."""
+    rng = np.random.default_rng(ell)
+    fam = new_family(3, 100 + ell)
+    pool = rng.choice(1 << 20, size=4 * ell + 16, replace=False).tolist()
+    sketch, model, members = BufferedSketch(fam, ell), _BufferModel(fam, ell), set()
+    for step in range(2400):
+        # Alternate phases that fill the buffers and drain the set to empty,
+        # so faults happen at every ell. Many ops are non-legal.
+        draining = step // 300 % 2 == 1
+        if draining and members and rng.random() < 0.8:
+            x = sorted(members)[rng.integers(len(members))]
+        else:
+            x = pool[rng.integers(len(pool))]
+        present = x in members
+        insert = rng.random() < (0.02 if draining else 0.85 if present else 0.95)
+        if insert:
+            model.events["duplicate"] += present
+            members.add(x)
+            sketch.insert(x)
+            model.insert(x)
+        else:
+            model.events["phantom"] += not present
+            members.discard(x)
+            sketch.delete(x, lambda: list(members))
+            model.delete(x, members)
+        model.assert_matches(sketch)
+    assert min(model.events.values()) > 0, model.events
