@@ -1,9 +1,9 @@
 """Compiled per-operation kernels for the hot stream-update paths.
 
-The pure-numpy implementations in core/baselines are the reference
+The fallback implementations in core/baselines are the reference
 semantics; these kernels execute the identical algorithm without per-row
 interpreter dispatch. When numba is unavailable the package transparently
-falls back to the numpy paths (see ENABLED).
+falls back to those paths (see ENABLED).
 """
 
 from __future__ import annotations
@@ -39,7 +39,9 @@ def _key(pk, x, i):
 
 @njit(cache=True)
 def insert_op(pk, x, buf, size, delta, ell):
-    """Insert element x into every buffer whose threshold admits its pair."""
+    """Insert element x into every buffer whose threshold admits its pair;
+    returns 1 when some threshold moved (the caller then regates), else 0."""
+    moved = 0
     for i in range(buf.shape[0]):
         key = _key(pk, x, i)
         if key <= delta[i]:
@@ -59,6 +61,7 @@ def insert_op(pk, x, buf, size, delta, ell):
                     row[j] = row[j - 1]
                 row[lo] = key
                 delta[i] = row[ell - 1]
+                moved = 1
             else:
                 for j in range(s, lo, -1):
                     row[j] = row[j - 1]
@@ -66,6 +69,8 @@ def insert_op(pk, x, buf, size, delta, ell):
                 size[i] = s + 1
                 if s + 1 == ell:
                     delta[i] = row[ell - 1]
+                    moved = 1
+    return moved
 
 
 @njit(cache=True)

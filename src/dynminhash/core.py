@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
+from operator import index
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .hashing import MAX_UNIVERSE, HashFamily
 
 #: Sentinel key for the (+inf, +inf) pair; compares >= every real pair key.
 TOP = np.uint64(0xFFFFFFFFFFFFFFFF)
+_TOP_INT = int(TOP)
 
 _SHIFT = np.uint64(32)
 _LOW = np.uint64(0xFFFFFFFF)
@@ -44,6 +46,18 @@ def split_key(key: int) -> tuple:
     """Unpack a uint64 key back into the (hash, element) pair."""
     key = int(key)
     return key >> 32, key & 0xFFFFFFFF
+
+
+def _gate_of(delta: np.ndarray) -> int:
+    """The threshold gate: lane i (bits 16i..16i+15) holds (delta[i] >> 49) + 1.
+
+    Added to the lanes of 0x7FFF minus the top 15 bits of x's keys
+    (``HashFamily._stream_tables``), lane i keeps bit 15 set exactly when
+    those bits are <= the threshold's, and no lane carries into the next,
+    so one addition tests all k functions.
+    """
+    lanes = (delta >> np.uint64(49)) + np.uint64(1)
+    return int.from_bytes(lanes.astype("<u2").tobytes(), "little")
 
 
 def _as_element_array(elements) -> np.ndarray:
@@ -110,6 +124,7 @@ class BufferedSketch:
 
     __slots__ = (
         "family", "ell", "_buf", "_size", "_delta",
+        "_bufv", "_sizev", "_deltav", "_gate",
         "fault_count", "recovery_elements_streamed",
     )
 
@@ -129,6 +144,12 @@ class BufferedSketch:
         self._buf = np.full((k, self.ell), TOP, dtype=np.uint64)
         self._size = np.zeros(k, dtype=np.int64)
         self._delta = np.full(k, TOP, dtype=np.uint64)
+        # Flat views of the same memory for the stream ops: indexing them
+        # reads and writes Python ints, without a numpy call.
+        self._bufv = memoryview(self._buf).cast("B").cast("Q")
+        self._sizev = memoryview(self._size).cast("B").cast("q")
+        self._deltav = memoryview(self._delta).cast("B").cast("Q")
+        self._gate = _gate_of(self._delta)
 
     @classmethod
     def init(cls, elements, family: HashFamily, ell: int) -> "BufferedSketch":
@@ -164,50 +185,85 @@ class BufferedSketch:
             keys.sort(axis=1)
             self._buf[:, :n] = keys
             self._size[:] = n
-            if n == ell:
-                self._delta[:] = self._buf[:, ell - 1]
         else:
             keys.partition(ell - 1, axis=1)
             head = keys[:, :ell]
             head.sort(axis=1)
-            self._buf = np.ascontiguousarray(head)
+            self._buf[:] = head
             self._size[:] = ell
-            self._delta = self._buf[:, ell - 1].copy()
+        if n >= ell:
+            self._delta[:] = self._buf[:, ell - 1]
+            self._gate = _gate_of(self._delta)
 
     # -- stream operations -------------------------------------------------
 
+    def _candidates(self, x: int):
+        """(i, key) for each function i whose threshold may admit x, with key
+        x's exact pair key under function i.
+
+        The gate test is exact for the top 15 bits of every key at once:
+        lane i of the sum keeps bit 15 set when the top 15 bits of x's key
+        under function i are <= those of threshold i. A key can share its
+        top bits with the threshold and still exceed it, so callers compare
+        the full key. Empty (the common case once buffers fill) when no lane
+        passes.
+        """
+        lanes, pk, guard = self.family._stream_tables()
+        cand = (self._gate + (lanes[x & 255] ^ lanes[256 + ((x >> 8) & 255)]
+                              ^ lanes[512 + ((x >> 16) & 255)] ^ lanes[768 + (x >> 24)])) & guard
+        if not cand:
+            return ()
+        k = self.family.k
+        b0, b1 = (x & 255) * k, (256 + ((x >> 8) & 255)) * k
+        b2, b3 = (512 + ((x >> 16) & 255)) * k, (768 + (x >> 24)) * k
+        # A passing lane is byte 0x80 at offset 2i + 1 of cand's bytes and
+        # every other byte is 0, so find() walks the lanes at C speed.
+        flags = cand.to_bytes(2 * k, "little")
+        out = []
+        p = flags.find(128)
+        while p >= 0:
+            i = p >> 1
+            out.append((i, pk[b0 + i] ^ pk[b1 + i] ^ pk[b2 + i] ^ pk[b3 + i] | x))
+            p = flags.find(128, p + 1)
+        return out
+
     def insert(self, x: int) -> None:
         """Add element x. A no-op (bit-identical state) if x is tracked already."""
+        x = index(x)
         if not 0 <= x < MAX_UNIVERSE:
             raise ValueError(f"element {x} outside 32-bit universe")
         if _kernels.ENABLED:
-            _kernels.insert_op(self.family._packed_keys(), np.uint64(x),
-                               self._buf, self._size, self._delta, self.ell)
+            if _kernels.insert_op(self.family._packed_keys(), np.uint64(x),
+                                  self._buf, self._size, self._delta, self.ell):
+                self._gate = _gate_of(self._delta)
             return
-        keys = self.family.key_one(x)
-        rows = (keys <= self._delta).nonzero()[0]
-        if not rows.size:
-            return  # above every threshold: the common case once buffers fill
         ell = self.ell
-        buf, size, delta = self._buf, self._size, self._delta
-        # Python-int work per admitting row: numpy-scalar calls cost more than
-        # the comparisons themselves. The search covers the whole row, TOP
-        # padding included, so a pair key equal to TOP counts as buffered.
-        for i, key in zip(rows.tolist(), keys[rows].tolist()):
-            row = buf[i]
-            vals = row.tolist()
-            pos = bisect_left(vals, key)
-            if pos < ell and vals[pos] == key:
+        buf, size, delta = self._bufv, self._sizev, self._deltav
+        gate = None  # the gate's lane bytes, once some threshold moves
+        for i, key in self._candidates(x):
+            if key > delta[i]:
+                continue  # equal top bits only
+            lo = i * ell
+            s = size[i]
+            pos = bisect_left(buf, key, lo, lo + s)
+            if pos < lo + s and buf[pos] == key:
                 continue  # pair already buffered
-            s = int(size[i])
             if s < ell:
                 size[i] = s + 1
             else:
                 s = ell - 1  # full: the last key drops out
-            row[pos + 1:s + 1] = row[pos:s]
-            row[pos] = key
+            buf[pos + 1:lo + s + 1] = buf[pos:lo + s]
+            buf[pos] = key
             if s + 1 == ell:  # full after the insert: its last key is the threshold
-                delta[i] = key if pos == s else vals[s - 1]
+                last = buf[lo + s]
+                delta[i] = last
+                if gate is None:
+                    gate = bytearray(self._gate.to_bytes(2 * self.family.k, "little"))
+                lane = (last >> 49) + 1
+                gate[2 * i] = lane & 255
+                gate[2 * i + 1] = lane >> 8
+        if gate is not None:
+            self._gate = int.from_bytes(gate, "little")
 
     def delete(self, x: int, recover) -> None:
         """Remove element x; rebuild via ``recover`` if a buffer would empty.
@@ -218,9 +274,10 @@ class BufferedSketch:
         error is re-raised as RecoveryError and the sketch keeps its
         pre-delete state. Deleting an absent element is a no-op.
         """
+        x = index(x)
         if not 0 <= x < MAX_UNIVERSE:
             raise ValueError(f"element {x} outside 32-bit universe")
-        if self._size[0] == 0:
+        if not self._sizev[0]:
             return  # empty set: nothing buffered anywhere
         if _kernels.ENABLED:
             fault = _kernels.delete_op(self.family._packed_keys(), np.uint64(x),
@@ -228,26 +285,22 @@ class BufferedSketch:
             if fault:
                 self._recover_and_rebuild(recover)
             return
-        keys = self.family.key_one(x)
-        rows = (keys <= self._delta).nonzero()[0]
-        if not rows.size:
-            return
         ell = self.ell
-        buf, size = self._buf, self._size
+        buf, size = self._bufv, self._sizev
         hits = []
-        for i, key in zip(rows.tolist(), keys[rows].tolist()):
-            vals = buf[i].tolist()
-            pos = bisect_left(vals, key)
-            if pos < ell and vals[pos] == key:
-                hits.append((i, pos, int(size[i])))
-        if any(s == 1 for _, _, s in hits):
-            self._recover_and_rebuild(recover)
-            return
-        for i, pos, s in hits:
-            row = buf[i]
-            row[pos:s - 1] = row[pos + 1:s]
-            row[s - 1] = TOP
-            size[i] = s - 1
+        for i, key in self._candidates(x):
+            lo = i * ell
+            end = lo + size[i]
+            pos = bisect_left(buf, key, lo, end)
+            if pos < end and buf[pos] == key:
+                if end - lo == 1:
+                    self._recover_and_rebuild(recover)
+                    return
+                hits.append((i, pos, end))
+        for i, pos, end in hits:
+            buf[pos:end - 1] = buf[pos + 1:end]
+            buf[end - 1] = _TOP_INT
+            size[i] -= 1
 
     def _recover_and_rebuild(self, recover) -> None:
         # Some buffer would empty: one recovery query rebuilds everything,
@@ -289,6 +342,51 @@ class BufferedSketch:
         d = self._delta[i]
         return None if d == TOP else split_key(d)
 
+    def _structure_faults(self) -> list:
+        """Violations visible without the tracked set, in O(k * ell).
+
+        Sizes within [0, ell], TOP past each size, strictly sorted rows,
+        stored hashes that match their elements, stored keys at or below the
+        threshold, a full row's threshold equal to its last key, rows all
+        empty (with TOP thresholds) or none empty, and the threshold gate
+        equal to the one the thresholds imply.
+        """
+        bad = []
+        k, ell = self.family.k, self.ell
+        buf, sizes, delta = self._buf, self._size, self._delta
+        if sizes.max() > ell or sizes.min() < 0:
+            bad.append(f"(ii) buffer size outside [0, ell={ell}]: {sizes.min()}..{sizes.max()}")
+        s_clip = np.minimum(sizes, ell)  # guards the vector math if (ii) is violated
+        in_size = np.arange(ell)[None, :] < s_clip[:, None]  # valid slots, (k, ell)
+        if (buf[~in_size] != TOP).any():
+            bad.append("(internal) stale entries past a buffer's size")
+        adjacent = in_size[:, 1:] & in_size[:, :-1]
+        if ((buf[:, 1:] <= buf[:, :-1]) & adjacent).any():
+            bad.append("(internal) some buffer is not strictly sorted")
+        elems = buf & _LOW
+        packed = self.family._packed_keys()
+        rows_idx = np.arange(k)[:, None]
+        h = packed[0][(elems & np.uint64(255)).astype(np.intp), rows_idx]
+        h ^= packed[1][((elems >> np.uint64(8)) & np.uint64(255)).astype(np.intp), rows_idx]
+        h ^= packed[2][((elems >> np.uint64(16)) & np.uint64(255)).astype(np.intp), rows_idx]
+        h ^= packed[3][((elems >> np.uint64(24)) & np.uint64(255)).astype(np.intp), rows_idx]
+        if (in_size & (h != (buf & ~_LOW))).any():
+            bad.append("(i) some buffer stores a key whose hash is not its element's")
+        nonempty = s_clip > 0
+        last = buf[rows_idx[:, 0], np.maximum(s_clip - 1, 0)]
+        if ((last > delta) & nonempty).any():
+            bad.append("(i) some buffer stores a pair above its threshold")
+        if ((last != delta) & (s_clip == ell)).any():
+            bad.append("(internal) some full buffer's threshold is not its last key")
+        if not nonempty.all():
+            if nonempty.any():
+                bad.append("(iii) some buffers are empty and some are not")
+            elif (delta != TOP).any():
+                bad.append("(iii) every buffer is empty but some threshold is not TOP")
+        if self._gate != _gate_of(delta):
+            bad.append("(internal) the threshold gate differs from the thresholds")
+        return bad
+
     def check_invariants(self, authoritative) -> InvariantReport:
         """Brute-force verification of the structural invariants.
 
@@ -299,52 +397,28 @@ class BufferedSketch:
         buffer holds exactly its size's worth of smallest pairs. O(|A| * k),
         fully vectorised so it can run after every op of long streams.
         """
-        bad = []
+        bad = self._structure_faults()
         xs = np.unique(_as_element_array(authoritative))
-        k, ell = self.family.k, self.ell
+        ell = self.ell
         buf, sizes, delta = self._buf, self._size, self._delta
-        if np.any(sizes > ell):
-            bad.append(f"(ii) buffer larger than ell={ell}: max size {sizes.max()}")
         if xs.size == 0:
-            if np.any(sizes != 0):
+            if sizes.any():
                 bad.append("(iii) set empty but some buffer is nonempty")
-            if np.any(delta != TOP):
-                bad.append("(iii) set empty but some threshold is not TOP")
             return InvariantReport(bad)
-        if np.any(sizes == 0):
+        if not sizes.all():
             bad.append("(iii) set nonempty but some buffer is empty")
-        s_clip = np.minimum(sizes, ell)  # guards the vector math if (ii) is violated
-        in_size = np.arange(ell)[None, :] < s_clip[:, None]  # valid slots, (k, ell)
-        if np.any(buf[~in_size] != TOP):
-            bad.append("(internal) stale entries past a buffer's size")
-        adjacent = in_size[:, 1:] & in_size[:, :-1]
-        if np.any((buf[:, 1:] <= buf[:, :-1]) & adjacent):
-            bad.append("(internal) some buffer is not strictly sorted")
-        # Buffered pairs must be genuine pairs of the tracked set: the element
-        # must be a member and the stored hash must match a fresh evaluation.
-        elems = buf & _LOW
-        packed = self.family._packed_keys()
-        rows_idx = np.arange(k)[:, None]
-        h = packed[0][(elems & np.uint64(255)).astype(np.intp), rows_idx]
-        h ^= packed[1][((elems >> np.uint64(8)) & np.uint64(255)).astype(np.intp), rows_idx]
-        h ^= packed[2][((elems >> np.uint64(16)) & np.uint64(255)).astype(np.intp), rows_idx]
-        h ^= packed[3][((elems >> np.uint64(24)) & np.uint64(255)).astype(np.intp), rows_idx]
-        genuine = np.isin(elems, xs) & (h == (buf & ~_LOW))
-        if np.any(in_size & ~genuine):
-            bad.append("(i) some buffer stores a pair that is not a pair of the tracked set")
+        in_size = np.arange(ell)[None, :] < sizes[:, None]
+        if (in_size & ~np.isin(buf & _LOW, xs)).any():
+            bad.append("(i) some buffer stores an element outside the tracked set")
         # Exactly the set pairs at or below the threshold are buffered.
         keys = self.family.keys_many(xs)  # (n, k)
         below = (keys <= delta[None, :]).sum(axis=0)
-        if np.any(below != sizes):
+        if (below != sizes).any():
             worst = int(np.flatnonzero(below != sizes)[0])
             bad.append(
                 f"(i) buffer {worst} holds {int(sizes[worst])} pairs but "
                 f"{int(below[worst])} set pairs are <= its threshold"
             )
-        last_idx = np.maximum(s_clip - 1, 0)[:, None]
-        last = np.take_along_axis(buf, last_idx, axis=1)[:, 0]
-        if np.any((last > delta) & (s_clip > 0)):
-            bad.append("(i) some buffer stores a pair above its threshold")
         return InvariantReport(bad)
 
     # -- serialization ------------------------------------------------------
@@ -370,7 +444,9 @@ class BufferedSketch:
         """Restore a checkpoint; rebuilds the family from the stored seed.
 
         Pass ``family`` to share an existing family object; it must match
-        the stored (k, seed). Stats counters restart at zero.
+        the stored (k, seed). Stats counters restart at zero. Raises
+        ValueError for a truncated checkpoint or one that fails the O(k * ell)
+        structural checks (``_structure_faults``).
         """
         if data[:4] != cls.MAGIC:
             raise ValueError("bad magic: not a buffered-sketch checkpoint")
@@ -402,6 +478,12 @@ class BufferedSketch:
             sketch._buf[i, :s] = np.frombuffer(data, dtype="<u8", count=s, offset=start)
             sketch._size[i] = s
             sketch._delta[i] = delta
+        sketch._gate = _gate_of(sketch._delta)
+        # The stream ops trust the thresholds and row order, so a state no
+        # stream can reach is refused here rather than read back wrongly.
+        bad = sketch._structure_faults()
+        if bad:
+            raise ValueError(f"corrupt checkpoint: {bad[0]}")
         return sketch
 
     def state_equal(self, other: "BufferedSketch") -> bool:

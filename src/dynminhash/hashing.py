@@ -88,7 +88,7 @@ class HashFamily:
     evaluating the 8 nibble tables directly.
     """
 
-    __slots__ = ("k", "master_seed", "tables", "_packed")
+    __slots__ = ("k", "master_seed", "tables", "_packed", "_stream")
 
     def __init__(self, k: int, master_seed: int):
         if k < 1:
@@ -103,6 +103,7 @@ class HashFamily:
         tables.setflags(write=False)
         self.tables = tables
         self._packed = None
+        self._stream = None
 
     @classmethod
     def from_tables(cls, tables, master_seed: int = 0) -> "HashFamily":
@@ -120,6 +121,7 @@ class HashFamily:
         obj.master_seed = int(master_seed)
         obj.tables = t
         obj._packed = None
+        obj._stream = None
         return obj
 
     @property
@@ -153,6 +155,28 @@ class HashFamily:
             p <<= np.uint64(32)
             self._packed = p
         return self._packed
+
+    def _stream_tables(self) -> tuple:
+        """Tables for evaluating one element in plain Python: (lanes, keys, guard).
+
+        ``lanes`` holds 1024 ints, one per (table t, byte b) at index
+        256 * t + b. Each packs the top 15 bits of all k entries
+        ``_packed_keys()[t, b]`` as 16-bit lanes, function i in bits
+        16i..16i+14; the table-3 ints hold 0x7FFF minus those bits. As
+        tabulation is a plain XOR, the four ints an element selects XOR to
+        0x7FFF minus the top 15 bits of all k of its hashes. ``keys`` is a
+        flat uint64 view of ``_packed_keys()`` (entry (256 * t + b) * k + i)
+        for the exact key of one function. ``guard`` has bit 15 of every
+        lane set.
+        """
+        if self._stream is None:
+            top = (self._packed_keys() >> np.uint64(49)).astype("<u2")
+            top[3] ^= 0x7FFF
+            raw, step = top.tobytes(), 2 * self.k
+            lanes = [int.from_bytes(raw[j:j + step], "little") for j in range(0, len(raw), step)]
+            guard = int.from_bytes(b"\x00\x80" * self.k, "little")
+            self._stream = (lanes, memoryview(self._packed).cast("B").cast("Q"), guard)
+        return self._stream
 
     def eval_one(self, x: int) -> np.ndarray:
         """All k hash values of one element, shape (k,) uint64 (32-bit values)."""

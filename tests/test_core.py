@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynminhash import _kernels
 from dynminhash.core import TOP, BufferedSketch, Signature, make_key, split_key
 from dynminhash.errors import EmptySetError, RecoveryError
-from dynminhash.hashing import new_family
+from dynminhash.hashing import HashFamily, new_family
 from dynminhash.streams import SetStore, StreamOp
 
 from conftest import ref_signature
@@ -150,6 +151,45 @@ class TestDelete:
         assert sk.to_bytes() == before
 
 
+def _top_key_family():
+    """Two functions; the first hashes 2^32 - 1 to 0xFFFFFFFF, so that
+    element's pair key equals TOP."""
+    tables = new_family(2, 59).tables.copy()
+    tables[0, :, 15] = 0
+    tables[0, 7, 15] = 0xFFFFFFFF
+    return HashFamily.from_tables(tables)
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["fallback", "kernels"])
+class TestTopKeyElement:
+    X = 2**32 - 1
+
+    def test_insert_matches_init(self, monkeypatch, compiled):
+        monkeypatch.setattr(_kernels, "ENABLED", compiled)
+        fam = _top_key_family()
+        for members in ([], [1, 2], [1, 2, 3, 4]):
+            sk = BufferedSketch.init(members, fam, 3)
+            sk.insert(self.X)
+            want = BufferedSketch.init(members + [self.X], fam, 3)
+            assert sk.state_equal(want)
+            assert sk.signature() == want.signature()
+
+    def test_phantom_delete_is_noop(self, monkeypatch, compiled):
+        monkeypatch.setattr(_kernels, "ENABLED", compiled)
+        sk = BufferedSketch.init([1, 2], _top_key_family(), 3)
+        before = sk.to_bytes()
+        sk.delete(self.X, lambda: [1, 2])
+        assert sk.to_bytes() == before
+
+    def test_delete_matches_init_signature(self, monkeypatch, compiled):
+        monkeypatch.setattr(_kernels, "ENABLED", compiled)
+        fam = _top_key_family()
+        sk = BufferedSketch.init([1, 2, self.X], fam, 3)
+        sk.delete(self.X, lambda: [1, 2])
+        assert sk.signature() == BufferedSketch.init([1, 2], fam, 3).signature()
+        assert sk.check_invariants([1, 2]).ok
+
+
 class TestSignature:
     def test_reads_buffer_minimum(self, id_family):
         sk = BufferedSketch.init([3, 7], id_family, 2)
@@ -197,6 +237,48 @@ class TestCheckInvariants:
         assert not report.ok
         assert any("(iii)" in v for v in report.violations)
 
+    def test_detects_stale_threshold_gate(self):
+        fam = new_family(3, 31)
+        sk = BufferedSketch.init(range(50), fam, 4)
+        assert sk.check_invariants(range(50)).ok
+        sk._gate += 1 << 16  # lane 1 admits one more top-bits value
+        report = sk.check_invariants(range(50))
+        assert any("(internal)" in v and "gate" in v for v in report.violations)
+
+
+def _rows(sketch):
+    return [[int(sketch._delta[i]), sketch._buf[i, :int(sketch._size[i])].tolist()]
+            for i in range(sketch.k)]
+
+
+def _checkpoint(sketch, rows):
+    """A BMH1 checkpoint of ``sketch``'s parameters with the given rows."""
+    out = [b"BMH1", struct.pack("<IIQ", sketch.k, sketch.ell, sketch.family.master_seed)]
+    for delta, keys in rows:
+        out.append(struct.pack("<QI", delta, len(keys)) + struct.pack(f"<{len(keys)}Q", *keys))
+    return b"".join(out)
+
+
+def _swap_first_keys(rows):
+    keys = rows[0][1]
+    keys[0], keys[1] = keys[1], keys[0]
+
+
+def _forge_element(rows):
+    rows[0][1][0] ^= 1  # same hash, another element
+
+
+def _lower_threshold(rows):
+    rows[0][0] = rows[0][1][-1] - 1
+
+
+def _raise_threshold(rows):
+    rows[0][0] = rows[0][1][-1] + 1
+
+
+def _empty_one_row(rows):
+    rows[1][1] = []
+
 
 class TestSerialization:
     def test_roundtrip(self):
@@ -236,6 +318,43 @@ class TestSerialization:
     def test_empty_sketch_roundtrip(self):
         sk = BufferedSketch(new_family(2, 43), 3)
         assert BufferedSketch.from_bytes(sk.to_bytes()).state_equal(sk)
+
+    @pytest.mark.parametrize("mutate", [_swap_first_keys, _forge_element, _lower_threshold,
+                                        _raise_threshold, _empty_one_row])
+    def test_unreachable_state_rejected(self, mutate):
+        sk = BufferedSketch.init(range(40), new_family(3, 47), 4)
+        rows = _rows(sk)
+        assert _checkpoint(sk, rows) == sk.to_bytes()
+        mutate(rows)
+        with pytest.raises(ValueError, match="corrupt checkpoint"):
+            BufferedSketch.from_bytes(_checkpoint(sk, rows))
+
+    def test_empty_sketch_with_threshold_rejected(self):
+        sk = BufferedSketch(new_family(2, 43), 3)
+        with pytest.raises(ValueError, match="threshold is not TOP"):
+            BufferedSketch.from_bytes(_checkpoint(sk, [[5, []], [int(TOP), []]]))
+
+    def test_restore_mid_stream_continues_bit_identically(self):
+        rng = np.random.default_rng(53)
+        fam = new_family(6, 53)
+        ops = [(bool(rng.random() < 0.6), int(x)) for x in rng.integers(0, 40, size=600)]
+
+        def run(restore_at):
+            sketch, members = BufferedSketch(fam, 3), set()
+            for j, (is_insert, x) in enumerate(ops):
+                if j == restore_at:
+                    sketch = BufferedSketch.from_bytes(sketch.to_bytes(), family=fam)
+                if is_insert:
+                    members.add(x)
+                    sketch.insert(x)
+                else:
+                    members.discard(x)
+                    sketch.delete(x, lambda: list(members))
+            return sketch
+
+        whole = run(None)
+        for restore_at in (150, 300, 450):
+            assert run(restore_at).to_bytes() == whole.to_bytes()
 
 
 def _replay(seed, n_ops, k, ell, pool_size, universe=1 << 12):
@@ -401,14 +520,29 @@ class _BufferModel:
         assert sketch._buf.tolist() == padded
 
 
-@pytest.mark.parametrize("ell", [1, 2, 5, 32])
-def test_state_matches_buffer_model(ell):
+@pytest.mark.parametrize("k,ell,narrow", [
+    pytest.param(3, 1, False, id="1"),
+    pytest.param(3, 2, False, id="2"),
+    pytest.param(3, 5, False, id="5"),
+    pytest.param(3, 32, False, id="32"),
+    pytest.param(1, 4, False, id="k1-ell4"),
+    pytest.param(70, 6, False, id="k70-ell6"),
+    pytest.param(5, 4, True, id="narrow-k5-ell4"),
+])
+def test_state_matches_buffer_model(k, ell, narrow):
     """Buffers, sizes and thresholds equal the plain-Python model after every
-    op of a stream with duplicate inserts, phantom deletes and faults."""
+    op of a stream with duplicate inserts, phantom deletes and faults.
+
+    A narrow family keeps only the low 17 bits of each hash, so every key
+    shares its top 15 bits with every threshold: the stream ops' gate then
+    admits every function and the exact key comparison must reject."""
     rng = np.random.default_rng(ell)
-    fam = new_family(3, 100 + ell)
+    fam = new_family(k, 100 + ell)
+    if narrow:
+        fam = HashFamily.from_tables(fam.tables & 0x1FFFF)
     pool = rng.choice(1 << 20, size=4 * ell + 16, replace=False).tolist()
     sketch, model, members = BufferedSketch(fam, ell), _BufferModel(fam, ell), set()
+    gate_false_positives = 0
     for step in range(2400):
         # Alternate phases that fill the buffers and drain the set to empty,
         # so faults happen at every ell. Many ops are non-legal.
@@ -418,6 +552,8 @@ def test_state_matches_buffer_model(ell):
         else:
             x = pool[rng.integers(len(pool))]
         present = x in members
+        gate_false_positives += any(key > d and key >> 49 == d >> 49
+                                    for key, d in zip(model.keys(x), model.delta))
         insert = rng.random() < (0.02 if draining else 0.85 if present else 0.95)
         if insert:
             model.events["duplicate"] += present
@@ -430,4 +566,6 @@ def test_state_matches_buffer_model(ell):
             sketch.delete(x, lambda: list(members))
             model.delete(x, members)
         model.assert_matches(sketch)
+        assert sketch._structure_faults() == []
     assert min(model.events.values()) > 0, model.events
+    assert gate_false_positives > 0 or not narrow
