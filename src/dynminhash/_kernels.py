@@ -122,6 +122,6 @@ def vanilla_insert_op(pk, x, entries):
 def vanilla_is_argmin(entries, x):
     low = np.uint64(0xFFFFFFFF)
     for i in range(entries.shape[0]):
-        if entries[i] != _TOP and (entries[i] & low) == x:
+        if (entries[i] & low) == x:
             return 1
     return 0

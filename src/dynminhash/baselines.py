@@ -20,8 +20,8 @@ import struct
 import numpy as np
 
 from . import _kernels
-from .core import _LOW, _SHIFT, TOP, Signature, _as_element_array
-from .errors import EmptyRowError, EmptySetError, IllegalStreamError, RecoveryError
+from .core import _LOW, _SHIFT, TOP, Signature, _as_element_array, _recover
+from .errors import EmptyRowError, EmptySetError, IllegalStreamError
 from .hashing import MAX_UNIVERSE, HashFamily, derive_seed, new_pairwise
 
 #: Row-selection constant for signature queries on the counter sketches.
@@ -54,27 +54,31 @@ class VanillaSketch:
         np.minimum(self._entries, self.family.key_one(x), out=self._entries)
 
     def delete(self, x: int, recover) -> None:
-        """Drop x; one recovery query and a full recompute if x is any argmin."""
+        """Drop x; one recovery query and a full recompute if x is any argmin.
+
+        As in ``BufferedSketch.delete``, a failed or stale recovery raises
+        RecoveryError and keeps the pre-delete state.
+        """
         if not 0 <= x < MAX_UNIVERSE:
             raise ValueError(f"element {x} outside 32-bit universe")
         entries = self._entries
-        if entries[0] == TOP:
-            return
         if _kernels.ENABLED:
             if not _kernels.vanilla_is_argmin(entries, np.uint64(x)):
                 return
         elif not ((entries & _LOW) == np.uint64(x)).any():
             return
-        try:
-            recovered = _as_element_array(recover())
-        except Exception as exc:
-            raise RecoveryError("recovery query failed during delete") from exc
+        # All TOP is the empty sketch. Only x = 2^32-1 hits TOP's low bits,
+        # so the test waits for a hit, where it tells empty from a genuine
+        # TOP key.
+        if (entries == TOP).all():
+            return
+        recovered = _recover(recover, x)
         self.fault_count += 1
         self.recovery_elements_streamed += int(recovered.size)
         self._entries = self.family.min_hashes(recovered)
 
     def signature(self) -> Signature:
-        if self._entries[0] == TOP:
+        if (self._entries == TOP).all():
             raise EmptySetError("signature undefined for an empty set")
         return Signature(self._entries >> _SHIFT, self.family.family_key)
 
@@ -97,8 +101,13 @@ class VanillaSketch:
             family = HashFamily(k, seed)
         elif family.k != k or family.master_seed != seed:
             raise ValueError("supplied family does not match the checkpoint")
+        entries = np.frombuffer(data, dtype="<u8", count=k, offset=16).astype(np.uint64)
+        # All TOP (empty) or every entry a genuine key of its own element.
+        genuine = family.keys_at(entries[:, None] & _LOW)[:, 0] == entries
+        if not (genuine.all() or (entries == TOP).all()):
+            raise ValueError("corrupt checkpoint: an entry is not its function's key of its element")
         sketch = cls(family)
-        sketch._entries = np.frombuffer(data, dtype="<u8", count=k, offset=16).astype(np.uint64)
+        sketch._entries = entries
         return sketch
 
 
@@ -110,18 +119,20 @@ class BssSketch:
     """Counter-matrix sketch: rows of c^2 counters, one row per element level.
 
     Updates are O(1); a signature query hashes the nonzero cells of the row
-    matching the current set size (row floor(log2(ALPHA * n)), clamped).
-    Handles legal streams only: decrementing an empty cell raises.
+    matching the current set size (row floor(log2(ALPHA * n)), clamped)
+    under the sketch's family. Handles legal streams only: decrementing an
+    empty cell raises.
     """
 
-    __slots__ = ("c2", "rows", "level_seed", "h1", "h2", "counters", "n")
+    __slots__ = ("c2", "family", "rows", "level_seed", "h1", "h2", "counters", "n")
 
-    def __init__(self, c2: int, universe_bits: int = 32, seed: int = 0):
+    def __init__(self, c2: int, family: HashFamily, universe_bits: int = 32, seed: int = 0):
         if c2 < 1:
             raise ValueError("c2 must be >= 1")
         if not 1 <= universe_bits <= 32:
             raise ValueError("universe_bits must be in [1, 32]")
         self.c2 = int(c2)
+        self.family = family
         self.rows = int(universe_bits)
         self.level_seed = int(seed)
         self.h1 = new_pairwise(derive_seed(seed, 1))  # level selection
@@ -149,7 +160,8 @@ class BssSketch:
     def insert(self, x: int) -> None:
         self.update(x, 1)
 
-    def delete(self, x: int) -> None:
+    def delete(self, x: int, recover=None) -> None:
+        """Drop x in O(1); ``recover`` is never called (the counters suffice)."""
         self.update(x, -1)
 
     def query_row(self) -> int:
@@ -158,14 +170,13 @@ class BssSketch:
         level = int(np.floor(np.log2(ALPHA * self.n))) if ALPHA * self.n >= 1 else 0
         return min(max(level, 0), self.rows - 1)
 
-    def signature(self, family: HashFamily) -> Signature:
+    def signature(self) -> Signature:
         """k-MinHash of the selected row's nonzero cells, O(k * c^2)."""
         row = self.query_row()
-        cells = np.flatnonzero(self.counters[row]).astype(np.uint64)
+        cells = np.flatnonzero(self.counters[row])
         if cells.size == 0:
             raise EmptyRowError(f"row {row} selected for n={self.n} holds no elements")
-        keys = (family.eval_many(cells) << _SHIFT) | cells[:, None]
-        return Signature(keys.min(axis=0) >> _SHIFT, family.family_key)
+        return Signature(self.family.min_hashes(cells) >> _SHIFT, self.family.family_key)
 
     MAGIC = b"BSS1"
 
@@ -174,7 +185,12 @@ class BssSketch:
         return self.MAGIC + head + self.counters.astype("<i8").tobytes()
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "BssSketch":
+    def from_bytes(cls, data: bytes, family: HashFamily) -> "BssSketch":
+        """Restore a checkpoint; the family is not stored and is supplied.
+
+        Raises ValueError for a truncated checkpoint, a negative counter or
+        a header size n that differs from the counter total.
+        """
         if data[:4] != cls.MAGIC:
             raise ValueError("bad magic: not a counter-sketch checkpoint")
         if len(data) < 28:
@@ -183,9 +199,14 @@ class BssSketch:
         if len(data) != 28 + 8 * rows * c2:
             raise ValueError(f"corrupt checkpoint: {len(data)} bytes, rows={rows} and "
                              f"c2={c2} imply {28 + 8 * rows * c2}")
-        sketch = cls(c2, rows, seed)
-        flat = np.frombuffer(data, dtype="<i8", count=rows * c2, offset=28)
-        sketch.counters = flat.astype(np.int64).reshape(rows, c2)
+        flat = np.frombuffer(data, dtype="<i8", count=rows * c2, offset=28).astype(np.int64)
+        if (flat < 0).any():
+            raise ValueError("corrupt checkpoint: negative counter")
+        total = sum(flat.tolist())  # Python ints: a forged total cannot wrap
+        if total != n:
+            raise ValueError(f"corrupt checkpoint: n={n} but the counters total {total}")
+        sketch = cls(c2, family, rows, seed)
+        sketch.counters = flat.reshape(rows, c2)
         sketch.n = n
         return sketch
 
@@ -198,40 +219,26 @@ class BssProactiveSketch(BssSketch):
     signature from its nonzero cells (counted as a fault).
     """
 
-    __slots__ = ("family", "row_sigs", "fault_count")
+    __slots__ = ("row_sigs", "fault_count")
 
     def __init__(self, c2: int, family: HashFamily, universe_bits: int = 32, seed: int = 0):
-        super().__init__(c2, universe_bits, seed)
-        self.family = family
+        super().__init__(c2, family, universe_bits, seed)
         self.row_sigs = np.full((self.rows, family.k), TOP, dtype=np.uint64)
         self.fault_count = 0
-
-    def _cell_keys(self, cell: int) -> np.ndarray:
-        return (self.family.eval_one(cell) << _SHIFT) | np.uint64(cell)
-
-    def _recompute_row(self, row: int) -> None:
-        cells = np.flatnonzero(self.counters[row]).astype(np.uint64)
-        if cells.size == 0:
-            self.row_sigs[row] = TOP
-            return
-        keys = (self.family.eval_many(cells) << _SHIFT) | cells[:, None]
-        self.row_sigs[row] = keys.min(axis=0)
 
     def update(self, x: int, op: int) -> tuple:
         row, cell, count = super().update(x, op)
         sig = self.row_sigs[row]
         if op == 1 and count == 1:
-            np.minimum(sig, self._cell_keys(cell), out=sig)
+            np.minimum(sig, self.family.key_one(cell), out=sig)
         elif op == -1 and count == 0:
             if ((sig & _LOW) == np.uint64(cell)).any():
                 self.fault_count += 1
-                self._recompute_row(row)
+                sig[:] = self.family.min_hashes(np.flatnonzero(self.counters[row]))
         return row, cell, count
 
-    def signature(self, family: HashFamily | None = None) -> Signature:
+    def signature(self) -> Signature:
         """The maintained signature of the selected row, O(k)."""
-        if family is not None and family.family_key != self.family.family_key:
-            raise ValueError("proactive sketch signatures are bound to its own family")
         row = self.query_row()
         sig = self.row_sigs[row]
         if sig[0] == TOP:

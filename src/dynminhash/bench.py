@@ -56,43 +56,55 @@ def hash_eval_ns(k: int = 256, seed: int = 0, samples: int = 1 << 16) -> float:
     return elapsed / (samples * k) * 1e9
 
 
-def _timed_update_run(sketch_kind: str, ops, family: HashFamily, ell: int):
-    """Replay one update stream; returns (seconds inside sketch ops, sketch)."""
+def _make_sketch(kind: str, family: HashFamily, ell: int, bss_seed, universe_bits: int = 32,
+                 elements=()):
+    """A sketch of ``kind`` over ``family`` holding ``elements``.
+
+    bmh and vanilla are built with ``init``; the counter sketches get
+    c^2 = k cells per row, ``universe_bits`` rows and the row-selection
+    seed ``bss_seed`` (unused by the other kinds), and insert the elements.
+    """
+    if kind == "bmh":
+        return BufferedSketch.init(elements, family, ell)
+    if kind == "vanilla":
+        return VanillaSketch.init(elements, family)
+    counter_sketch = {"bss": BssSketch, "bss-proactive": BssProactiveSketch}.get(kind)
+    if counter_sketch is None:
+        raise ValueError(f"unknown sketch kind {kind!r}")
+    sketch = counter_sketch(family.k, family, universe_bits, bss_seed)
+    for x in elements:
+        sketch.insert(int(x))
+    return sketch
+
+
+def _replay(sketch, events):
+    """Replay updates and signature queries against a fresh store.
+
+    Returns (seconds inside sketch calls, queries that selected an empty row).
+    """
     store = SetStore()
-    if sketch_kind == "bmh":
-        sketch = BufferedSketch(family, ell)
-    elif sketch_kind == "vanilla":
-        sketch = VanillaSketch(family)
-    elif sketch_kind == "bss":
-        sketch = BssSketch(c2=family.k, universe_bits=32, seed=_subseed(family.master_seed, 17))
-    elif sketch_kind == "bss-proactive":
-        sketch = BssProactiveSketch(
-            c2=family.k, family=family, universe_bits=32,
-            seed=_subseed(family.master_seed, 17),
-        )
-    else:
-        raise ValueError(f"unknown sketch kind {sketch_kind!r}")
-    total = 0.0
     clock = time.perf_counter
-    if sketch_kind in ("bss", "bss-proactive"):
-        for op in ops:
-            store.apply(op)
+    total, errors = 0.0, 0
+    recover = None
+    for ev in events:
+        if isinstance(ev, QueryEvent):
             t0 = clock()
-            sketch.update(op.element, op.op)
+            try:
+                sketch.signature()
+            except EmptyRowError:
+                errors += 1
             total += clock() - t0
-    else:
-        recover = store.recovery_provider(ops[0].set_id) if ops else None
-        for op in ops:
-            store.apply(op)
-            if op.op == 1:
-                t0 = clock()
-                sketch.insert(op.element)
-                total += clock() - t0
-            else:
-                t0 = clock()
-                sketch.delete(op.element, recover)
-                total += clock() - t0
-    return total, sketch
+            continue
+        store.apply(ev)
+        if recover is None:
+            recover = store.recovery_provider(ev.set_id)
+        t0 = clock()
+        if ev.op == 1:
+            sketch.insert(ev.element)
+        else:
+            sketch.delete(ev.element, recover)
+        total += clock() - t0
+    return total, errors
 
 
 def fault_sweep(n: int, k: int, ells, reps: int, seed: int, universe_bits: int = 32):
@@ -110,7 +122,8 @@ def fault_sweep(n: int, k: int, ells, reps: int, seed: int, universe_bits: int =
         for rep in range(reps + 1):  # rep 0 is the discarded warm-up
             family = new_family(k, _subseed(seed, rep, 1))
             ops = gen_uniform_stream(n, universe, _subseed(seed, rep, 2))
-            elapsed, sketch = _timed_update_run("bmh", ops, family, ell)
+            sketch = _make_sketch("bmh", family, ell, None)
+            elapsed, _ = _replay(sketch, ops)
             if rep == 0:
                 continue
             times.append(elapsed)
@@ -139,8 +152,8 @@ def speedup(n_values, k: int, ell: int, reps: int, seed: int, universe_bits: int
         for rep in range(reps + 1):
             family = new_family(k, _subseed(seed, n, rep, 1))
             ops = gen_uniform_stream(n, universe, _subseed(seed, n, rep, 2))
-            v_elapsed, _ = _timed_update_run("vanilla", ops, family, ell)
-            b_elapsed, _ = _timed_update_run("bmh", ops, family, ell)
+            v_elapsed, _ = _replay(_make_sketch("vanilla", family, ell, None), ops)
+            b_elapsed, _ = _replay(_make_sketch("bmh", family, ell, None), ops)
             if rep == 0:
                 continue
             v_times.append(v_elapsed)
@@ -161,48 +174,6 @@ def speedup(n_values, k: int, ell: int, reps: int, seed: int, universe_bits: int
     return rows
 
 
-def _mixed_run(sketch_kind: str, events, family: HashFamily, ell: int):
-    """Replay a mixed update/query workload; returns (seconds, query errors)."""
-    store = SetStore()
-    errors = 0
-    if sketch_kind == "bmh":
-        sketch = BufferedSketch(family, ell)
-    elif sketch_kind == "vanilla":
-        sketch = VanillaSketch(family)
-    elif sketch_kind == "bss":
-        sketch = BssSketch(c2=family.k, universe_bits=32, seed=_subseed(family.master_seed, 17))
-    else:
-        sketch = BssProactiveSketch(
-            c2=family.k, family=family, universe_bits=32,
-            seed=_subseed(family.master_seed, 17),
-        )
-    counter_based = sketch_kind in ("bss", "bss-proactive")
-    clock = time.perf_counter
-    total = 0.0
-    recover = None
-    for ev in events:
-        if isinstance(ev, QueryEvent):
-            t0 = clock()
-            try:
-                sketch.signature(family) if sketch_kind == "bss" else sketch.signature()
-            except EmptyRowError:
-                errors += 1
-            total += clock() - t0
-            continue
-        store.apply(ev)
-        if recover is None:
-            recover = store.recovery_provider(ev.set_id)
-        t0 = clock()
-        if counter_based:
-            sketch.update(ev.element, ev.op)
-        elif ev.op == 1:
-            sketch.insert(ev.element)
-        else:
-            sketch.delete(ev.element, recover)
-        total += clock() - t0
-    return total, errors
-
-
 def mixed(n: int, p_values, k: int, ell: int, reps: int, seed: int,
           universe_bits: int = 32, sketches=SKETCH_KINDS):
     """Total time per sketch on workloads with a varying query fraction.
@@ -212,14 +183,14 @@ def mixed(n: int, p_values, k: int, ell: int, reps: int, seed: int,
     universe = 1 << universe_bits
     rows = []
     for p in p_values:
-        workloads = {}
-        for rep in range(reps + 1):
-            workloads[rep] = gen_mixed_workload(n, p, _subseed(seed, rep, 3), universe)
+        workloads = [gen_mixed_workload(n, p, _subseed(seed, rep, 3), universe)
+                     for rep in range(reps + 1)]
         for kind in sketches:
             times, errors = [], 0
             for rep in range(reps + 1):
                 family = new_family(k, _subseed(seed, rep, 4))
-                elapsed, errs = _mixed_run(kind, workloads[rep], family, ell)
+                sketch = _make_sketch(kind, family, ell, _subseed(family.master_seed, 17))
+                elapsed, errs = _replay(sketch, workloads[rep])
                 if rep == 0:
                     continue
                 times.append(elapsed)
@@ -265,30 +236,17 @@ def rmse_benchmark(j_values, pairs_per_j: int, k: int, seed: int,
             fam_seed = _subseed(seed, idx, int(j * 1000), 6)
             # One family per pair, shared across sketches for a like-for-like
             # comparison (the baseline gets its own, larger family).
-            family = new_family(k, fam_seed) if {"bmh", "bss"} & set(sketches) else None
-            if "bmh" in sketches:
-                sig_a = BufferedSketch.init(a, family, ell).signature()
-                sig_b = BufferedSketch.init(b, family, ell).signature()
-                estimates["bmh"].append((estimate_jaccard(sig_a, sig_b).estimate, truth))
-            if "vanilla" in sketches:
-                vfam = new_family(vanilla_k, _subseed(fam_seed, 1))
-                sig_a = VanillaSketch.init(a, vfam).signature()
-                sig_b = VanillaSketch.init(b, vfam).signature()
-                estimates["vanilla"].append((estimate_jaccard(sig_a, sig_b).estimate, truth))
-            if "bss" in sketches:
-                bss_a = BssSketch(c2=k, universe_bits=universe_bits, seed=_subseed(fam_seed, 2))
-                bss_b = BssSketch(c2=k, universe_bits=universe_bits, seed=_subseed(fam_seed, 2))
-                for x in a:
-                    bss_a.insert(int(x))
-                for x in b:
-                    bss_b.insert(int(x))
+            family = new_family(k, fam_seed) if set(sketches) - {"vanilla"} else None
+            bss_seed = _subseed(fam_seed, 2)
+            for kind in sketches:
+                fam = new_family(vanilla_k, _subseed(fam_seed, 1)) if kind == "vanilla" else family
                 try:
-                    sig_a = bss_a.signature(family)
-                    sig_b = bss_b.signature(family)
+                    sig_a = _make_sketch(kind, fam, ell, bss_seed, universe_bits, a).signature()
+                    sig_b = _make_sketch(kind, fam, ell, bss_seed, universe_bits, b).signature()
                 except EmptyRowError:
-                    errors["bss"] += 1
+                    errors[kind] += 1
                 else:
-                    estimates["bss"].append((estimate_jaccard(sig_a, sig_b).estimate, truth))
+                    estimates[kind].append((estimate_jaccard(sig_a, sig_b).estimate, truth))
         for kind in sketches:
             pairs = estimates[kind]
             diffs = [est - truth for est, truth in pairs]
@@ -309,20 +267,9 @@ def build_signatures(sets: dict, k: int, ell: int, seed: int, sketch: str = "bmh
                      universe_bits: int = 32):
     """Signature per set id, using one shared family. Returns (family, dict)."""
     family = new_family(k, seed)
-    sigs = {}
-    for set_id, elements in sets.items():
-        elements = list(elements)
-        if sketch == "bmh":
-            sigs[set_id] = BufferedSketch.init(elements, family, ell).signature()
-        elif sketch == "vanilla":
-            sigs[set_id] = VanillaSketch.init(elements, family).signature()
-        elif sketch == "bss":
-            b = BssSketch(c2=k, universe_bits=universe_bits, seed=_subseed(seed, 9))
-            for x in elements:
-                b.insert(int(x))
-            sigs[set_id] = b.signature(family)
-        else:
-            raise ValueError(f"unknown sketch kind {sketch!r}")
+    bss_seed = _subseed(seed, 9)
+    sigs = {set_id: _make_sketch(sketch, family, ell, bss_seed, universe_bits, elements).signature()
+            for set_id, elements in sets.items()}
     return family, sigs
 
 

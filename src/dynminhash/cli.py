@@ -282,16 +282,10 @@ def run(argv=None) -> int:
             _cmd_load_balls(args)
         else:  # pragma: no cover - argparse enforces the choices
             raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:  # BandingInfeasibleError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG_ERROR
-    except (ValueError, BandingInfeasibleError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG_ERROR
-    except DataError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DATA_ERROR
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA_ERROR
     return 0

@@ -66,6 +66,21 @@ def _as_element_array(elements) -> np.ndarray:
     return np.asarray(list(elements), dtype=np.uint64)
 
 
+def _recover(recover, x: int) -> np.ndarray:
+    """The elements ``recover()`` returns after x's delete faulted.
+
+    A fault means x was present, so a set that still holds x comes from a
+    stale store; rebuilding from it would keep x silently.
+    """
+    try:
+        recovered = _as_element_array(recover())
+    except Exception as exc:
+        raise RecoveryError("recovery query failed during delete") from exc
+    if (recovered == np.uint64(x)).any():
+        raise RecoveryError(f"stale recovery: the set returned still holds the deleted element {x}")
+    return recovered
+
+
 class InvariantReport:
     """Result of a brute-force invariant check: truthiness plus violations."""
 
@@ -272,7 +287,8 @@ class BufferedSketch:
         (post-deletion) elements of the tracked set, typically bound to the
         authoritative store. It is invoked at most once. If it raises, the
         error is re-raised as RecoveryError and the sketch keeps its
-        pre-delete state. Deleting an absent element is a no-op.
+        pre-delete state, as it does when the returned set still holds x (a
+        stale store). Deleting an absent element is a no-op.
         """
         x = index(x)
         if not 0 <= x < MAX_UNIVERSE:
@@ -283,7 +299,7 @@ class BufferedSketch:
             fault = _kernels.delete_op(self.family._packed_keys(), np.uint64(x),
                                        self._buf, self._size, self._delta)
             if fault:
-                self._recover_and_rebuild(recover)
+                self._recover_and_rebuild(recover, x)
             return
         ell = self.ell
         buf, size = self._bufv, self._sizev
@@ -294,7 +310,7 @@ class BufferedSketch:
             pos = bisect_left(buf, key, lo, end)
             if pos < end and buf[pos] == key:
                 if end - lo == 1:
-                    self._recover_and_rebuild(recover)
+                    self._recover_and_rebuild(recover, x)
                     return
                 hits.append((i, pos, end))
         for i, pos, end in hits:
@@ -302,13 +318,10 @@ class BufferedSketch:
             buf[end - 1] = _TOP_INT
             size[i] -= 1
 
-    def _recover_and_rebuild(self, recover) -> None:
+    def _recover_and_rebuild(self, recover, x: int) -> None:
         # Some buffer would empty: one recovery query rebuilds everything,
         # so per-function removals are skipped (the rebuild covers them).
-        try:
-            recovered = _as_element_array(recover())
-        except Exception as exc:
-            raise RecoveryError("recovery query failed during delete") from exc
+        recovered = _recover(recover, x)
         if recovered.size:
             self.fault_count += 1
         self.recovery_elements_streamed += int(recovered.size)
@@ -363,17 +376,10 @@ class BufferedSketch:
         adjacent = in_size[:, 1:] & in_size[:, :-1]
         if ((buf[:, 1:] <= buf[:, :-1]) & adjacent).any():
             bad.append("(internal) some buffer is not strictly sorted")
-        elems = buf & _LOW
-        packed = self.family._packed_keys()
-        rows_idx = np.arange(k)[:, None]
-        h = packed[0][(elems & np.uint64(255)).astype(np.intp), rows_idx]
-        h ^= packed[1][((elems >> np.uint64(8)) & np.uint64(255)).astype(np.intp), rows_idx]
-        h ^= packed[2][((elems >> np.uint64(16)) & np.uint64(255)).astype(np.intp), rows_idx]
-        h ^= packed[3][((elems >> np.uint64(24)) & np.uint64(255)).astype(np.intp), rows_idx]
-        if (in_size & (h != (buf & ~_LOW))).any():
+        if (in_size & (self.family.keys_at(buf & _LOW) != buf)).any():
             bad.append("(i) some buffer stores a key whose hash is not its element's")
         nonempty = s_clip > 0
-        last = buf[rows_idx[:, 0], np.maximum(s_clip - 1, 0)]
+        last = buf[np.arange(k), np.maximum(s_clip - 1, 0)]
         if ((last > delta) & nonempty).any():
             bad.append("(i) some buffer stores a pair above its threshold")
         if ((last != delta) & (s_clip == ell)).any():

@@ -211,6 +211,18 @@ class HashFamily:
         out |= xs[:, None]
         return out
 
+    def keys_at(self, xs) -> np.ndarray:
+        """Pair keys of ``xs[i, j]`` under function i, for a (k, m) array xs."""
+        xs = np.asarray(xs, dtype=np.uint64)
+        p = self._packed_keys()
+        fn = np.arange(self.k)[:, None]
+        out = p[0][(xs & np.uint64(255)).astype(np.intp), fn]
+        out ^= p[1][((xs >> np.uint64(8)) & np.uint64(255)).astype(np.intp), fn]
+        out ^= p[2][((xs >> np.uint64(16)) & np.uint64(255)).astype(np.intp), fn]
+        out ^= p[3][((xs >> np.uint64(24)) & np.uint64(255)).astype(np.intp), fn]
+        out |= xs
+        return out
+
     def min_hashes(self, elements, chunk_bytes: int = 1 << 27) -> np.ndarray:
         """Per-function minimum of (hash, element) keys over ``elements``.
 

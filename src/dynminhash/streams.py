@@ -79,12 +79,6 @@ class SetStore:
         """Copy of a set's current contents (no recovery accounting)."""
         return set(self._sets.get(set_id, ()))
 
-    def set_ids(self):
-        return list(self._sets)
-
-    def size(self, set_id) -> int:
-        return len(self._sets.get(set_id, ()))
-
 
 # -- synthetic generators ---------------------------------------------------
 

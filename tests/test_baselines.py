@@ -3,10 +3,11 @@ import struct
 import numpy as np
 import pytest
 
+from dynminhash import _kernels
 from dynminhash.baselines import ALPHA, BssProactiveSketch, BssSketch, VanillaSketch
 from dynminhash.core import TOP
 from dynminhash.errors import EmptyRowError, EmptySetError, IllegalStreamError, RecoveryError
-from dynminhash.hashing import new_family
+from dynminhash.hashing import HashFamily, new_family
 from dynminhash.similarity import estimate_jaccard, exact_jaccard
 from dynminhash.streams import PairGenConfig, gen_correlated_pair
 
@@ -96,6 +97,29 @@ class TestVanilla:
         with pytest.raises(ValueError):
             VanillaSketch.from_bytes(b"XXXX" + sk.to_bytes()[4:])
 
+    def test_stale_recovery_raises_and_keeps_state(self):
+        fam = new_family(3, 9)
+        sk = VanillaSketch.init(range(30), fam)
+        victim = int(sk._entries[0] & np.uint64(0xFFFFFFFF))
+        before = sk.to_bytes()
+        with pytest.raises(RecoveryError):
+            sk.delete(victim, lambda: range(30))  # still holds the victim
+        assert sk.to_bytes() == before
+        assert sk.fault_count == 0
+
+    def test_forged_checkpoint_entry_rejected(self):
+        data = VanillaSketch.init(range(20), new_family(4, 8)).to_bytes()
+        entry = 16 + 8 * 2  # function 2's entry
+        key = int.from_bytes(data[entry:entry + 8], "little")
+        for forged in (key ^ 1, key ^ (1 << 40), 0xFFFFFFFFFFFFFFFF):
+            bad = data[:entry] + forged.to_bytes(8, "little") + data[entry + 8:]
+            with pytest.raises(ValueError):
+                VanillaSketch.from_bytes(bad)
+
+    def test_empty_checkpoint_loads(self):
+        sk = VanillaSketch(new_family(4, 8))
+        assert VanillaSketch.from_bytes(sk.to_bytes()).to_bytes() == sk.to_bytes()
+
     @pytest.mark.parametrize("x", [2**40, -5])
     def test_delete_rejects_element_outside_universe(self, x):
         fam = new_family(2, 3)
@@ -104,9 +128,52 @@ class TestVanilla:
                 sk.delete(x, lambda: [])
 
 
+def _top_key_family():
+    """Three functions; the first hashes 2^32 - 1 to 0xFFFFFFFF, so that
+    element's pair key equals TOP."""
+    tables = new_family(3, 59).tables.copy()
+    tables[0, :, 15] = 0
+    tables[0, 7, 15] = 0xFFFFFFFF
+    return HashFamily.from_tables(tables)
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["fallback", "kernels"])
+class TestVanillaTopKeyElement:
+    X = 2**32 - 1
+
+    def test_singleton_signature(self, monkeypatch, compiled):
+        monkeypatch.setattr(_kernels, "ENABLED", compiled)
+        fam = _top_key_family()
+        sk = VanillaSketch(fam)
+        sk.insert(self.X)
+        assert sk._entries[0] == TOP
+        for got in (sk, VanillaSketch.init([self.X], fam), VanillaSketch.from_bytes(sk.to_bytes(), fam)):
+            assert np.array_equal(got.signature().values, ref_signature(fam, [self.X]))
+
+    def test_delete_then_insert_matches_init(self, monkeypatch, compiled):
+        monkeypatch.setattr(_kernels, "ENABLED", compiled)
+        fam = _top_key_family()
+        sk = VanillaSketch.init([self.X], fam)
+        sk.delete(self.X, lambda: [])
+        with pytest.raises(EmptySetError):
+            sk.signature()
+        sk.insert(5)
+        assert sk.signature() == VanillaSketch.init([5], fam).signature()
+
+    def test_delete_from_empty_is_noop(self, monkeypatch, compiled):
+        monkeypatch.setattr(_kernels, "ENABLED", compiled)
+        sk = VanillaSketch(_top_key_family())
+
+        def recover():  # pragma: no cover - must not be called
+            raise AssertionError("an empty sketch must not recover")
+
+        sk.delete(self.X, recover)
+        assert (sk._entries == TOP).all()
+
+
 class TestBss:
     def test_insert_delete_symmetry(self):
-        sk = BssSketch(c2=64, universe_bits=14, seed=1)
+        sk = BssSketch(c2=64, family=new_family(4, 51), universe_bits=14, seed=1)
         before = sk.counters.copy()
         sk.insert(123)
         sk.delete(123)
@@ -114,7 +181,7 @@ class TestBss:
         assert sk.n == 0
 
     def test_level_zero_element_touches_row_zero_only(self):
-        sk = BssSketch(c2=64, universe_bits=14, seed=2)
+        sk = BssSketch(c2=64, family=new_family(4, 52), universe_bits=14, seed=2)
         x = next(x for x in range(1000) if sk.h1(x, 1 << 32) % 2 == 1)
         row, _, _ = sk.update(x, 1)
         assert row == 0
@@ -123,7 +190,7 @@ class TestBss:
 
     def test_counter_total_tracks_live_size(self):
         rng = np.random.default_rng(3)
-        sk = BssSketch(c2=128, universe_bits=16, seed=3)
+        sk = BssSketch(c2=128, family=new_family(4, 53), universe_bits=16, seed=3)
         members = set()
         for _ in range(1000):
             if members and rng.random() < 0.45:
@@ -140,49 +207,67 @@ class TestBss:
             assert int(sk.counters.sum()) == len(members)
 
     def test_zero_decrement_rejected(self):
-        sk = BssSketch(c2=16, universe_bits=14, seed=4)
+        sk = BssSketch(c2=16, family=new_family(4, 54), universe_bits=14, seed=4)
         with pytest.raises(IllegalStreamError):
             sk.delete(7)
 
     def test_singleton_signature_hashes_its_cell(self):
-        sk = BssSketch(c2=32, universe_bits=14, seed=5)
+        fam = new_family(8, 55)
+        sk = BssSketch(c2=32, family=fam, universe_bits=14, seed=5)
         x = next(x for x in range(1000) if sk.h1(x, 1 << 32) % 2 == 1)  # level 0
         sk.insert(x)
-        fam = new_family(8, 55)
-        sig = sk.signature(fam)
+        sig = sk.signature()
         cell = sk.h2(x, sk.c2)
         assert np.array_equal(sig.values, fam.eval_one(cell))
 
     def test_singleton_off_row_reports_empty_row(self):
-        sk = BssSketch(c2=32, universe_bits=14, seed=6)
+        sk = BssSketch(c2=32, family=new_family(4, 56), universe_bits=14, seed=6)
         x = next(x for x in range(1000) if sk.h1(x, 1 << 32) % 4 == 2)  # level 1
         sk.insert(x)
         with pytest.raises(EmptyRowError):
-            sk.signature(new_family(4, 56))
+            sk.signature()
 
     def test_identical_contents_identical_signatures(self):
         fam = new_family(16, 57)
-        a = BssSketch(c2=64, universe_bits=14, seed=7)
-        b = BssSketch(c2=64, universe_bits=14, seed=7)
+        a = BssSketch(c2=64, family=fam, universe_bits=14, seed=7)
+        b = BssSketch(c2=64, family=fam, universe_bits=14, seed=7)
         for x in range(200, 400):
             a.insert(x)
             b.insert(x)
-        assert a.signature(fam) == b.signature(fam)
+        assert a.signature() == b.signature()
 
     def test_empty_set_raises(self):
-        sk = BssSketch(c2=16, universe_bits=14, seed=8)
+        sk = BssSketch(c2=16, family=new_family(2, 58), universe_bits=14, seed=8)
         with pytest.raises(EmptySetError):
-            sk.signature(new_family(2, 58))
+            sk.signature()
 
     def test_serialization_roundtrip(self):
-        sk = BssSketch(c2=32, universe_bits=12, seed=9)
+        fam = new_family(4, 59)
+        sk = BssSketch(c2=32, family=fam, universe_bits=12, seed=9)
         for x in range(100):
             sk.insert(x)
-        clone = BssSketch.from_bytes(sk.to_bytes())
+        clone = BssSketch.from_bytes(sk.to_bytes(), fam)
         assert np.array_equal(clone.counters, sk.counters)
         assert clone.n == sk.n
-        fam = new_family(4, 59)
-        assert clone.signature(fam) == sk.signature(fam)
+        assert clone.signature() == sk.signature()
+
+    def test_delete_never_recovers(self):
+        sk = BssSketch(c2=16, family=new_family(2, 60), universe_bits=14, seed=10)
+        sk.insert(7)
+
+        def recover():  # pragma: no cover - must not be called
+            raise AssertionError("the counters need no recovery")
+
+        sk.delete(7, recover)
+        assert sk.n == 0
+
+    def test_signature_is_min_hash_of_row_cells(self):
+        fam = new_family(8, 61)
+        sk = BssSketch(c2=64, family=fam, universe_bits=14, seed=11)
+        for x in range(500):
+            sk.insert(x)
+        cells = np.flatnonzero(sk.counters[sk.query_row()])
+        assert np.array_equal(sk.signature().values, ref_signature(fam, cells))
 
     @pytest.mark.slow
     def test_estimate_quality_at_high_similarity(self):
@@ -199,14 +284,14 @@ class TestBss:
         for t in range(trials):
             a, b = gen_correlated_pair(cfg, 2000 + t)
             fam = new_family(k, fam_seed + t)
-            sa = BssSketch(c2=k, universe_bits=17, seed=3000 + t)
-            sb = BssSketch(c2=k, universe_bits=17, seed=3000 + t)
+            sa = BssSketch(c2=k, family=fam, universe_bits=17, seed=3000 + t)
+            sb = BssSketch(c2=k, family=fam, universe_bits=17, seed=3000 + t)
             for x in a:
                 sa.insert(int(x))
             for x in b:
                 sb.insert(int(x))
             try:
-                est = estimate_jaccard(sa.signature(fam), sb.signature(fam)).estimate
+                est = estimate_jaccard(sa.signature(), sb.signature()).estimate
             except EmptyRowError:
                 continue
             hits += abs(est - exact_jaccard(a, b)) <= 0.25
@@ -279,8 +364,18 @@ class TestBssProactive:
         assert sk.fault_count == 0
 
 
+_BSS_FAMILY = new_family(4, 9)
+
+
+class _Bss:
+    # A loader named from_bytes, like the others, with the family bound.
+    @staticmethod
+    def from_bytes(data):
+        return BssSketch.from_bytes(data, _BSS_FAMILY)
+
+
 def _bss_checkpoint():
-    sk = BssSketch(c2=8, universe_bits=6, seed=9)
+    sk = BssSketch(c2=8, family=_BSS_FAMILY, universe_bits=6, seed=9)
     for x in range(30):
         sk.insert(x)
     return sk.to_bytes()
@@ -288,7 +383,7 @@ def _bss_checkpoint():
 
 @pytest.mark.parametrize("loader,data", [
     (VanillaSketch.from_bytes, VanillaSketch.init(range(20), new_family(4, 8)).to_bytes()),
-    (BssSketch.from_bytes, _bss_checkpoint()),
+    (_Bss.from_bytes, _bss_checkpoint()),
 ])
 def test_every_truncated_checkpoint_prefix_rejected(loader, data):
     for cut in range(len(data)):
@@ -300,9 +395,32 @@ def test_every_truncated_checkpoint_prefix_rejected(loader, data):
 
 @pytest.mark.parametrize("loader,data", [
     (VanillaSketch.from_bytes, b"VMH1" + struct.pack("<IQ", 1 << 31, 0)),
-    (BssSketch.from_bytes, b"BSS1" + struct.pack("<IIQq", (1 << 32) - 1, 32, 0, 0)),
+    (_Bss.from_bytes, b"BSS1" + struct.pack("<IIQq", (1 << 32) - 1, 32, 0, 0)),
 ])
 def test_oversized_header_rejected(loader, data):
     # Fails on the data's length, before a family or counter matrix is built.
     with pytest.raises(ValueError):
         loader(data)
+
+
+def _with_counter(data, value, n_delta=0):
+    """The checkpoint with its first counter set to value and n shifted by n_delta."""
+    n = struct.unpack_from("<q", data, 20)[0]
+    return data[:20] + struct.pack("<q", n + n_delta) + struct.pack("<q", value) + data[36:]
+
+
+def test_bss_checkpoint_with_negative_counter_rejected():
+    data = _bss_checkpoint()
+    first = struct.unpack_from("<q", data, 28)[0]
+    bad = _with_counter(data, -1, -1 - first)  # n still equals the counter total
+    with pytest.raises(ValueError, match="negative"):
+        _Bss.from_bytes(bad)
+
+
+def test_bss_checkpoint_with_wrong_size_rejected():
+    data = _bss_checkpoint()
+    first = struct.unpack_from("<q", data, 28)[0]
+    assert _Bss.from_bytes(_with_counter(data, first)).n == 30
+    for bad in (_with_counter(data, first, 1), _with_counter(data, first + 1)):
+        with pytest.raises(ValueError, match="total"):
+            _Bss.from_bytes(bad)

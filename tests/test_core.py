@@ -150,6 +150,17 @@ class TestDelete:
             sk.delete(4, broken)
         assert sk.to_bytes() == before
 
+    @pytest.mark.parametrize("compiled", [False, True], ids=["fallback", "kernels"])
+    def test_stale_recovery_raises_and_keeps_state(self, id_family, monkeypatch, compiled):
+        # Deleting 4 faults, so 4 was present; a store still holding it is stale.
+        monkeypatch.setattr(_kernels, "ENABLED", compiled)
+        sk = BufferedSketch.init([4, 9], id_family, 1)
+        before = sk.to_bytes()
+        with pytest.raises(RecoveryError, match="stale"):
+            sk.delete(4, lambda: [4, 9])
+        assert sk.to_bytes() == before
+        assert sk.fault_count == 0
+
 
 def _top_key_family():
     """Two functions; the first hashes 2^32 - 1 to 0xFFFFFFFF, so that

@@ -73,6 +73,18 @@ def test_vectorised_paths_match_scalar():
             assert fam.fn(i)(int(x)) == ref
 
 
+def test_keys_at_gathers_each_functions_own_elements():
+    fam = new_family(5, 7)
+    xs = np.random.default_rng(8).integers(0, 1 << 32, size=(5, 4), dtype=np.uint64)
+    xs[0, 0] = (1 << 32) - 1
+    got = fam.keys_at(xs)
+    assert got.shape == (5, 4)
+    for i in range(fam.k):
+        for j in range(4):
+            x = int(xs[i, j])
+            assert int(got[i, j]) == (unrolled_eval(fam.tables[i], x) << 32) | x
+
+
 def test_fn_reproducible_from_own_seed():
     fam = new_family(3, 77)
     for i in range(3):
