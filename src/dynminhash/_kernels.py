@@ -29,12 +29,13 @@ _TOP = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 @njit(cache=True)
 def _key(pk, x, i):
-    return (
+    h = (
         pk[0, x & np.uint64(255), i]
         ^ pk[1, (x >> np.uint64(8)) & np.uint64(255), i]
         ^ pk[2, (x >> np.uint64(16)) & np.uint64(255), i]
         ^ pk[3, (x >> np.uint64(24)) & np.uint64(255), i]
-    ) | x
+    )
+    return np.uint64(h) << np.uint64(32) | x
 
 
 @njit(cache=True)

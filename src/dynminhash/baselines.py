@@ -49,7 +49,7 @@ class VanillaSketch:
         if not 0 <= x < MAX_UNIVERSE:
             raise ValueError(f"element {x} outside 32-bit universe")
         if _kernels.ENABLED:
-            _kernels.vanilla_insert_op(self.family._packed_keys(), np.uint64(x), self._entries)
+            _kernels.vanilla_insert_op(self.family._byte_tables(), np.uint64(x), self._entries)
             return
         np.minimum(self._entries, self.family.key_one(x), out=self._entries)
 
@@ -237,6 +237,18 @@ class BssProactiveSketch(BssSketch):
                 sig[:] = self.family.min_hashes(np.flatnonzero(self.counters[row]))
         return row, cell, count
 
+    @classmethod
+    def from_bytes(cls, data: bytes, family: HashFamily) -> "BssProactiveSketch":
+        """Load a ``BSS1`` checkpoint, recomputing every row signature.
+
+        A maintained row signature is always the minimum over the row's
+        nonzero cells, so recomputing it from the counters is exact.
+        """
+        sketch = super().from_bytes(data, family)
+        for row in range(sketch.rows):
+            sketch.row_sigs[row] = family.min_hashes(np.flatnonzero(sketch.counters[row]))
+        return sketch
+
     def signature(self) -> Signature:
         """The maintained signature of the selected row, O(k)."""
         row = self.query_row()
@@ -244,6 +256,3 @@ class BssProactiveSketch(BssSketch):
         if sig[0] == TOP:
             raise EmptyRowError(f"row {row} selected for n={self.n} holds no elements")
         return Signature(sig >> _SHIFT, self.family.family_key)
-
-    def to_bytes(self) -> bytes:  # pragma: no cover - no checkpoint format defined
-        raise NotImplementedError("proactive sketches are rebuilt from the stream")

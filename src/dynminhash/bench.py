@@ -11,6 +11,7 @@ carries a versioned schema tag.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from itertools import combinations
 from statistics import mean, median, pstdev, stdev
 
@@ -21,7 +22,7 @@ from .core import BufferedSketch
 from .errors import EmptyRowError
 from .hashing import HashFamily, new_family
 from .lsh import BandingParams, LshIndex, score_acp
-from .similarity import estimate_jaccard, exact_jaccard, rmse
+from .similarity import _as_set, estimate_jaccard, exact_jaccard, rmse
 from .streams import (
     PairGenConfig,
     QueryEvent,
@@ -273,6 +274,26 @@ def build_signatures(sets: dict, k: int, ell: int, seed: int, sketch: str = "bmh
     return family, sigs
 
 
+def _all_pairs_jaccard(sets: dict, ids: list) -> dict:
+    """Exact Jaccard similarity of every pair of ``ids``, keyed in id order.
+
+    Postings (element -> positions of the sets holding it) count each
+    pair's intersection; |A u B| = |A| + |B| - |A n B| then gives the same
+    floats as ``exact_jaccard``.
+    """
+    members = [_as_set(sets[i]) for i in ids]
+    postings: dict = {}
+    for pos, elements in enumerate(members):
+        for x in elements:
+            postings.setdefault(x, []).append(pos)
+    shared = Counter(pair for holders in postings.values() for pair in combinations(holders, 2))
+    sims = {}
+    for a, b in combinations(range(len(ids)), 2):
+        union = len(members[a]) + len(members[b]) - shared[a, b]
+        sims[ids[a], ids[b]] = shared[a, b] / union if union else 0.0
+    return sims
+
+
 def acp_run(sets: dict, k: int, ell: int, banding: BandingParams, threshold: float,
             seed: int, sketch: str = "bmh", universe_bits: int = 32,
             negative_sample: int | None = None):
@@ -315,8 +336,7 @@ def acp_run(sets: dict, k: int, ell: int, banding: BandingParams, threshold: flo
     }
     if negative_sample is None:
         universe_pairs = list(combinations(ids, 2))
-        exact_sims = {pair: exact_jaccard(sets[pair[0]], sets[pair[1]]) for pair in universe_pairs}
-        score = score_acp(returned, universe_pairs, exact_sims, threshold)
+        score = score_acp(returned, universe_pairs, _all_pairs_jaccard(sets, ids), threshold)
         summary.update({
             "tp": score.tp, "fp": score.fp, "fn": score.fn, "tn": score.tn,
             "precision": score.precision, "recall": score.recall, "f1": score.f1,
@@ -327,7 +347,6 @@ def acp_run(sets: dict, k: int, ell: int, banding: BandingParams, threshold: flo
     tp = sum(1 for row in pair_rows if row["exact_sim"] >= threshold)
     fp = len(pair_rows) - tp
     rng = np.random.default_rng(_subseed(seed, 13))
-    returned_set = returned
     n_ids = len(ids)
     total_pairs = n_ids * (n_ids - 1) // 2
     missed_true = 0
@@ -337,16 +356,16 @@ def acp_run(sets: dict, k: int, ell: int, banding: BandingParams, threshold: flo
         if i == j:
             continue
         pair = (ids[min(i, j)], ids[max(i, j)])
-        if pair in returned_set:
+        if pair in returned:
             continue
         sampled += 1
         if exact_jaccard(sets[pair[0]], sets[pair[1]]) >= threshold:
             missed_true += 1
     frac = missed_true / sampled if sampled else 0.0
-    fn_est = frac * (total_pairs - len(returned_set))
+    fn_est = frac * (total_pairs - len(returned))
     se = (frac * (1 - frac) / sampled) ** 0.5 if sampled else 0.0
-    fn_lo = max(0.0, frac - 1.96 * se) * (total_pairs - len(returned_set))
-    fn_hi = (frac + 1.96 * se) * (total_pairs - len(returned_set))
+    fn_lo = max(0.0, frac - 1.96 * se) * (total_pairs - len(returned))
+    fn_hi = (frac + 1.96 * se) * (total_pairs - len(returned))
     summary.update({
         "tp": tp, "fp": fp,
         "precision": tp / (tp + fp) if tp + fp else 0.0,

@@ -32,9 +32,11 @@ _TOP_INT = int(TOP)
 _SHIFT = np.uint64(32)
 _LOW = np.uint64(0xFFFFFFFF)
 
-#: Keys per ``keys_many`` call in a rebuild (1 MiB of uint64), small enough
-#: that each block is transposed while it is still in cache.
-_REBUILD_BLOCK_KEYS = 1 << 17
+#: Largest buffer capacity ell a sketch accepts, in the constructor and in
+#: a checkpoint header. The paper's ell is O(log |U|) with |U| = 2^32, so
+#: 2^16 leaves a wide margin, and it bounds the k * ell * 8 bytes a forged
+#: ``BMH1`` header can make ``from_bytes`` allocate.
+MAX_ELL = 1 << 16
 
 
 def make_key(hash_value: int, element: int) -> int:
@@ -144,8 +146,8 @@ class BufferedSketch:
     )
 
     def __init__(self, family: HashFamily, ell: int):
-        if ell < 1:
-            raise ValueError(f"buffer capacity ell must be >= 1, got {ell}")
+        if not 1 <= ell <= MAX_ELL:
+            raise ValueError(f"buffer capacity ell must be in [1, {MAX_ELL}], got {ell}")
         self.family = family
         self.ell = int(ell)
         self.fault_count = 0
@@ -188,14 +190,10 @@ class BufferedSketch:
         n = xs.size
         if n == 0:
             return
-        # Function-major (k, n) keys, so every per-function selection below
-        # runs over contiguous memory. keys_many's (n, k) output is taken in
-        # row blocks and transposed block by block: a partition along axis 0
-        # of the whole (n, k) array strides by k and cost several times more.
-        keys = np.empty((self.family.k, n), dtype=np.uint64)
-        step = max(1, _REBUILD_BLOCK_KEYS // self.family.k)
-        for start in range(0, n, step):
-            keys[:, start:start + step] = self.family.keys_many(xs[start:start + step]).T
+        # (k, n) keys, contiguous along the elements (keys_many stores them
+        # function-major), so every per-function selection below runs over
+        # contiguous memory.
+        keys = self.family.keys_many(xs).T
         if n <= ell:
             keys.sort(axis=1)
             self._buf[:, :n] = keys
@@ -238,7 +236,7 @@ class BufferedSketch:
         p = flags.find(128)
         while p >= 0:
             i = p >> 1
-            out.append((i, pk[b0 + i] ^ pk[b1 + i] ^ pk[b2 + i] ^ pk[b3 + i] | x))
+            out.append((i, (pk[b0 + i] ^ pk[b1 + i] ^ pk[b2 + i] ^ pk[b3 + i]) << 32 | x))
             p = flags.find(128, p + 1)
         return out
 
@@ -248,7 +246,7 @@ class BufferedSketch:
         if not 0 <= x < MAX_UNIVERSE:
             raise ValueError(f"element {x} outside 32-bit universe")
         if _kernels.ENABLED:
-            if _kernels.insert_op(self.family._packed_keys(), np.uint64(x),
+            if _kernels.insert_op(self.family._byte_tables(), np.uint64(x),
                                   self._buf, self._size, self._delta, self.ell):
                 self._gate = _gate_of(self._delta)
             return
@@ -296,7 +294,7 @@ class BufferedSketch:
         if not self._sizev[0]:
             return  # empty set: nothing buffered anywhere
         if _kernels.ENABLED:
-            fault = _kernels.delete_op(self.family._packed_keys(), np.uint64(x),
+            fault = _kernels.delete_op(self.family._byte_tables(), np.uint64(x),
                                        self._buf, self._size, self._delta)
             if fault:
                 self._recover_and_rebuild(recover, x)
@@ -459,6 +457,8 @@ class BufferedSketch:
         if len(data) < 20:
             raise ValueError("corrupt checkpoint: truncated header")
         k, ell, seed = struct.unpack_from("<IIQ", data, 4)
+        if not 1 <= ell <= MAX_ELL:
+            raise ValueError(f"corrupt checkpoint: ell={ell} outside [1, {MAX_ELL}]")
         # Walk the rows before building anything, so a header that claims
         # more than the data holds fails in O(len(data)).
         rows = []

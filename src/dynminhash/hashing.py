@@ -12,8 +12,10 @@ import numpy as np
 #: Size of the element universe. Elements are unsigned 32-bit values.
 MAX_UNIVERSE = 1 << 32
 
-_U32 = (1 << 32) - 1
 _U64 = (1 << 64) - 1
+
+#: Keys per gather block in ``HashFamily.keys_many`` (512 KiB of uint32).
+_GATHER_KEYS = 1 << 17
 
 # splitmix64 constants, used to derive independent per-function subseeds from
 # one master seed (counter-based, so function i is reproducible in isolation).
@@ -82,10 +84,12 @@ class TabulationHash:
 class HashFamily:
     """A vector of k independent tabulation hashes drawn from one master seed.
 
-    Immutable after construction and safe to share across threads. The
-    vectorised entry points (`eval_one`, `eval_many`) use byte-wide lookup
-    tables precombined from the nibble tables; outputs are bit-identical to
-    evaluating the 8 nibble tables directly.
+    Immutable after construction and safe to share across threads. Every
+    evaluation path (`key_one`, `keys_many`, `keys_at`, `min_hashes` and the
+    stream tables) reads one byte-wide table of (4, 256, k) uint32 hash
+    values, precombined from the nibble tables on first use (1 MiB at
+    k=256); outputs are bit-identical to evaluating the 8 nibble tables
+    directly.
     """
 
     __slots__ = ("k", "master_seed", "tables", "_packed", "_stream")
@@ -141,41 +145,41 @@ class HashFamily:
     def functions(self) -> list:
         return [self.fn(i) for i in range(self.k)]
 
-    def _packed_keys(self) -> np.ndarray:
-        # (4, 256, k): byte-wide tables pre-shifted into the high 32 bits, so
-        # XORing four entries yields the hash already positioned for a
-        # (hash << 32 | element) pair key. One contiguous (k,) slice per
-        # (table, byte) keeps single-element evaluation cache-friendly.
+    def _byte_tables(self) -> np.ndarray:
+        # (4, 256, k) uint32: byte-wide tables precombined from the nibble
+        # tables, so XORing the four entries an element's bytes select yields
+        # its hash. One contiguous (k,) slice per (table, byte) keeps
+        # single-element evaluation cache-friendly.
         if self._packed is None:
             lo = np.arange(256) & 15
             hi = np.arange(256) >> 4
-            p = np.empty((4, 256, self.k), dtype=np.uint64)
+            p = np.empty((4, 256, self.k), dtype=np.uint32)
             for t in range(4):
                 p[t] = (self.tables[:, 2 * t, lo] ^ self.tables[:, 2 * t + 1, hi]).T
-            p <<= np.uint64(32)
             self._packed = p
         return self._packed
 
     def _stream_tables(self) -> tuple:
-        """Tables for evaluating one element in plain Python: (lanes, keys, guard).
+        """Tables for evaluating one element in plain Python: (lanes, hashes, guard).
 
         ``lanes`` holds 1024 ints, one per (table t, byte b) at index
         256 * t + b. Each packs the top 15 bits of all k entries
-        ``_packed_keys()[t, b]`` as 16-bit lanes, function i in bits
+        ``_byte_tables()[t, b]`` as 16-bit lanes, function i in bits
         16i..16i+14; the table-3 ints hold 0x7FFF minus those bits. As
         tabulation is a plain XOR, the four ints an element selects XOR to
-        0x7FFF minus the top 15 bits of all k of its hashes. ``keys`` is a
-        flat uint64 view of ``_packed_keys()`` (entry (256 * t + b) * k + i)
-        for the exact key of one function. ``guard`` has bit 15 of every
-        lane set.
+        0x7FFF minus the top 15 bits of all k of its hashes. ``hashes`` is a
+        flat uint32 view of ``_byte_tables()`` (entry (256 * t + b) * k + i),
+        from which the exact key of one function is (XOR of four entries)
+        << 32 | x. ``guard`` has bit 15 of every lane set.
         """
         if self._stream is None:
-            top = (self._packed_keys() >> np.uint64(49)).astype("<u2")
+            p = self._byte_tables()
+            top = (p >> np.uint32(17)).astype("<u2")
             top[3] ^= 0x7FFF
             raw, step = top.tobytes(), 2 * self.k
             lanes = [int.from_bytes(raw[j:j + step], "little") for j in range(0, len(raw), step)]
             guard = int.from_bytes(b"\x00\x80" * self.k, "little")
-            self._stream = (lanes, memoryview(self._packed).cast("B").cast("Q"), guard)
+            self._stream = (lanes, memoryview(p).cast("B").cast("I"), guard)
         return self._stream
 
     def eval_one(self, x: int) -> np.ndarray:
@@ -186,12 +190,13 @@ class HashFamily:
         """All k pair keys (hash << 32 | x) of one element, shape (k,)."""
         if not 0 <= x < MAX_UNIVERSE:
             raise ValueError(f"element {x} outside 32-bit universe")
-        p = self._packed_keys()
+        p = self._byte_tables()
         h = p[0, x & 255] ^ p[1, (x >> 8) & 255]
         h ^= p[2, (x >> 16) & 255]
-        h ^= p[3, (x >> 24) & 255]
-        h |= np.uint64(x)
-        return h
+        h ^= p[3, x >> 24]
+        key = np.left_shift(h, 32, dtype=np.uint64)
+        key |= np.uint64(x)
+        return key
 
     def eval_many(self, xs) -> np.ndarray:
         """Hash values for many elements, shape (len(xs), k) uint64.
@@ -200,26 +205,40 @@ class HashFamily:
         """
         return self.keys_many(xs) >> np.uint64(32)
 
+    def _hashes(self, xs, fn=slice(None)) -> np.ndarray:
+        """uint32 hashes of ``xs`` under the functions ``fn`` selects.
+
+        The whole family by default, shape xs.shape + (k,); an index array
+        ``fn`` instead broadcasts against ``xs``.
+        """
+        p = self._byte_tables()
+        h = p[0][(xs & np.uint64(255)).astype(np.intp), fn]
+        for t in (1, 2, 3):
+            h ^= p[t][((xs >> np.uint64(8 * t)) & np.uint64(255)).astype(np.intp), fn]
+        return h
+
     def keys_many(self, xs) -> np.ndarray:
-        """Pair keys for many elements, shape (len(xs), k) uint64."""
+        """Pair keys (hash << 32 | x) for many elements, shape (len(xs), k) uint64.
+
+        Row j holds the k keys of ``xs[j]``. The result is the transposed
+        view of a C-ordered (k, len(xs)) array: ``keys_many(xs).T`` is
+        contiguous along the elements, the axis that per-function
+        selections (partition, sort, min) run on. Hashes are gathered in
+        blocks of at most 2^17 keys, each written transposed while in cache.
+        """
         xs = np.ascontiguousarray(xs, dtype=np.uint64)
-        p = self._packed_keys()
-        out = p[0][(xs & np.uint64(255)).astype(np.intp)]
-        out ^= p[1][((xs >> np.uint64(8)) & np.uint64(255)).astype(np.intp)]
-        out ^= p[2][((xs >> np.uint64(16)) & np.uint64(255)).astype(np.intp)]
-        out ^= p[3][((xs >> np.uint64(24)) & np.uint64(255)).astype(np.intp)]
-        out |= xs[:, None]
-        return out
+        out = np.empty((self.k, xs.size), dtype=np.uint64)
+        step = max(1, _GATHER_KEYS // self.k)
+        for start in range(0, xs.size, step):
+            out[:, start:start + step] = self._hashes(xs[start:start + step]).T
+        out <<= np.uint64(32)
+        out |= xs
+        return out.T
 
     def keys_at(self, xs) -> np.ndarray:
         """Pair keys of ``xs[i, j]`` under function i, for a (k, m) array xs."""
         xs = np.asarray(xs, dtype=np.uint64)
-        p = self._packed_keys()
-        fn = np.arange(self.k)[:, None]
-        out = p[0][(xs & np.uint64(255)).astype(np.intp), fn]
-        out ^= p[1][((xs >> np.uint64(8)) & np.uint64(255)).astype(np.intp), fn]
-        out ^= p[2][((xs >> np.uint64(16)) & np.uint64(255)).astype(np.intp), fn]
-        out ^= p[3][((xs >> np.uint64(24)) & np.uint64(255)).astype(np.intp), fn]
+        out = np.left_shift(self._hashes(xs, np.arange(self.k)[:, None]), 32, dtype=np.uint64)
         out |= xs
         return out
 

@@ -7,9 +7,7 @@ probability s is reported with probability 1 - (1 - s^r)^b.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -95,24 +93,22 @@ class AcpScore:
 
 
 class LshIndex:
-    """Banded hash-bucket index over signatures.
+    """Banded bucket index over signatures.
 
-    Band keys are a seeded hash of the band index plus the r raw signature
-    entries, so bucket spaces never collide across bands.
+    A bucket is keyed by the band index and the raw bytes of the band's r
+    signature entries. The keys are exact: two signatures share a bucket
+    exactly when they agree on every entry of that band, and bucket spaces
+    never collide across bands. ``seed`` is accepted for compatibility with
+    callers that pass one; it does not affect the buckets.
     """
 
     def __init__(self, params: BandingParams, seed: int = 0):
         self.params = params
-        self._salt = struct.pack("<Q", seed & 0xFFFFFFFFFFFFFFFF)
         self._buckets: dict = {}
         self._ids: set = set()
 
     def __len__(self) -> int:
         return len(self._ids)
-
-    def _band_key(self, band: int, entries) -> bytes:
-        payload = struct.pack(f"<I{self.params.r}Q", band, *(int(v) for v in entries))
-        return hashlib.blake2b(payload, digest_size=8, key=self._salt).digest()
 
     def insert(self, set_id, sig: Signature) -> None:
         """Index one signature; a set id may be inserted at most once."""
@@ -122,10 +118,9 @@ class LshIndex:
         if set_id in self._ids:
             raise ValueError(f"set id {set_id!r} already indexed")
         self._ids.add(set_id)
-        values = sig.values
+        raw, w = sig.values[:b * r].tobytes(), 8 * r
         for j in range(b):
-            key = self._band_key(j, values[j * r:(j + 1) * r])
-            self._buckets.setdefault(key, []).append(set_id)
+            self._buckets.setdefault((j, raw[j * w:(j + 1) * w]), []).append(set_id)
 
     def candidates(self) -> set:
         """All unordered id pairs sharing at least one bucket, deduplicated."""

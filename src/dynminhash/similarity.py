@@ -29,12 +29,16 @@ def estimate_jaccard(s1: Signature, s2: Signature) -> SimilarityEstimate:
     return SimilarityEstimate(matches / k, k)
 
 
+def _as_set(a):
+    """``a`` as a set of Python values (arrays through ``tolist``)."""
+    if isinstance(a, (set, frozenset)):
+        return a
+    return set(a.tolist()) if isinstance(a, np.ndarray) else set(a)
+
+
 def exact_jaccard(a, b) -> float:
     """|A intersection B| / |A union B|; 0.0 when both sets are empty."""
-    if not isinstance(a, (set, frozenset)):
-        a = set(np.asarray(a).tolist()) if isinstance(a, np.ndarray) else set(a)
-    if not isinstance(b, (set, frozenset)):
-        b = set(np.asarray(b).tolist()) if isinstance(b, np.ndarray) else set(b)
+    a, b = _as_set(a), _as_set(b)
     union = len(a | b)
     if union == 0:
         return 0.0

@@ -351,6 +351,22 @@ class TestBssProactive:
         cells = np.array([sk.h2(survivor, sk.c2)], dtype=np.uint64)
         assert np.array_equal(sk.row_sigs[0], ref_min_keys(fam, cells))
 
+    def test_loaded_checkpoint_answers_like_the_streamed_sketch(self):
+        fam = new_family(4, 1)
+        plain = BssSketch(16, fam, 8, 3)
+        streamed = BssProactiveSketch(16, fam, 8, 3)
+        for x in range(200):
+            plain.insert(x)
+            streamed.insert(x)
+        assert streamed.to_bytes() == plain.to_bytes()  # one BSS1 format for both
+        loaded = BssProactiveSketch.from_bytes(streamed.to_bytes(), fam)
+        ops = [(x, 1) for x in range(200, 260)] + [(x, -1) for x in range(0, 200, 3)]
+        for x, op in ops:
+            loaded.update(x, op)
+            streamed.update(x, op)
+            assert np.array_equal(loaded.row_sigs, streamed.row_sigs)
+        assert loaded.signature() == streamed.signature()
+
     def test_delete_from_doubly_occupied_cell_keeps_signature(self):
         sk, _ = self._fresh(k=4, seed=13)
         pool = [x for x in range(5000) if sk.h1(x, 1 << 32) % 2 == 1]

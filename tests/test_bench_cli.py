@@ -1,11 +1,14 @@
 import csv
 import json
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from dynminhash import _kernels, bench
 from dynminhash.cli import EXIT_CONFIG_ERROR, EXIT_DATA_ERROR, run
 from dynminhash.lsh import BandingParams
+from dynminhash.similarity import exact_jaccard
 from dynminhash.streams import read_stream
 
 
@@ -73,6 +76,17 @@ class TestBench:
         for row in pair_rows:
             assert 0 <= row["estimated_sim"] <= 1
 
+    def test_all_pairs_ground_truth_equals_exact_jaccard(self):
+        # A small universe so that most pairs share elements.
+        sets, _ = bench.make_planted_acp_corpus(24, 3, seed=8, universe_bits=8, base_size=40)
+        sets[24], sets[25], sets[26] = [1, 2, 2, 3], np.array([2, 3, 4]), frozenset()
+        ids = sorted(sets)
+        sims = bench._all_pairs_jaccard(sets, ids)
+        assert list(sims) == list(combinations(ids, 2))
+        assert all(sims[a, b] == exact_jaccard(sets[a], sets[b]) for a, b in sims)
+        assert sims[24, 25] == 0.5 and sims[24, 26] == 0.0
+        assert sum(v > 0 for v in sims.values()) > len(sims) // 2
+
     def test_acp_run_sampled_recall(self):
         sets, _ = bench.make_planted_acp_corpus(30, 3, seed=6, universe_bits=16,
                                                 base_size=80)
@@ -85,7 +99,6 @@ class TestBench:
         sets, planted = bench.make_planted_acp_corpus(40, 4, seed=7)
         assert len(sets) == 40
         assert len(planted) == 4
-        from dynminhash.similarity import exact_jaccard
         for a, b in planted:
             assert exact_jaccard(sets[a], sets[b]) >= 0.5
 

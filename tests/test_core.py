@@ -1,3 +1,4 @@
+import hashlib
 import struct
 from bisect import insort
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynminhash import _kernels
-from dynminhash.core import TOP, BufferedSketch, Signature, make_key, split_key
+from dynminhash.core import MAX_ELL, TOP, BufferedSketch, Signature, make_key, split_key
 from dynminhash.errors import EmptySetError, RecoveryError
 from dynminhash.hashing import HashFamily, new_family
 from dynminhash.streams import SetStore, StreamOp
@@ -57,6 +58,32 @@ class TestInit:
     def test_rejects_bad_ell(self):
         with pytest.raises(ValueError):
             BufferedSketch(new_family(1, 1), 0)
+
+    def test_ell_bound(self):
+        fam = new_family(1, 1)
+        assert BufferedSketch(fam, MAX_ELL).ell == MAX_ELL
+        with pytest.raises(ValueError):
+            BufferedSketch(fam, MAX_ELL + 1)
+
+    # SHA-256 of init(xs, new_family(k, k + n), ell).to_bytes() with xs drawn
+    # from default_rng(n), duplicated in part where dup is set. The shapes
+    # cover n = ell, n < ell, duplicates, k from 1 to 1024 and two gather
+    # blocks (k=5, n=40000); any change to the stored bits fails here.
+    @pytest.mark.parametrize("k,n,ell,dup,digest", [
+        (1, 1, 1, False, "004391174825ab1401d68c7224dcf6fd68de0994188334d78f2a98dde94181d0"),
+        (3, 100, 5, True, "42b8f3763aacde3eafb370d678721424b2833d1153f03daebe2b77e7453b9da7"),
+        (16, 31, 32, False, "955076c06af71cdd8e545f42512b1cdce5f462c7813bf5eae24364a567febe21"),
+        (256, 300, 32, False, "456b3b8026f7fafdbdbb41bb1373e0a30c2acd0765c3a07bb72aae1cd30d52fc"),
+        (64, 4096, 16, True, "d36bd3b441e0ba8f7db389d16e11e6c57274060b22ad7ede108db0ed66f75989"),
+        (1024, 600, 8, False, "514e1e547e154ababc77d99cb7fd97a811e7d44e918c9dddf00bfe429d803dcb"),
+        (5, 40000, 4, False, "b63d18a896cf067d395caa8d2a27052747762fdfb2fe0156a49dd476e0917319"),
+    ])
+    def test_checkpoint_digest_is_fixed(self, k, n, ell, dup, digest):
+        xs = np.random.default_rng(n).integers(0, 1 << 32, size=n, dtype=np.uint64)
+        if dup:
+            xs = np.concatenate([xs, xs[: n // 2]])
+        data = BufferedSketch.init(xs, new_family(k, k + n), ell).to_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestInsert:
@@ -329,6 +356,21 @@ class TestSerialization:
     def test_empty_sketch_roundtrip(self):
         sk = BufferedSketch(new_family(2, 43), 3)
         assert BufferedSketch.from_bytes(sk.to_bytes()).state_equal(sk)
+
+    def test_ell_bound_applies_to_checkpoints(self):
+        at_bound = BufferedSketch.init([5], new_family(1, 0), MAX_ELL)
+        assert BufferedSketch.from_bytes(at_bound.to_bytes()).state_equal(at_bound)
+        above = at_bound.to_bytes()
+        above = above[:8] + struct.pack("<I", MAX_ELL + 1) + above[12:]
+        with pytest.raises(ValueError, match="ell"):
+            BufferedSketch.from_bytes(above)
+        # 40 bytes whose header claims ell = 2^22: one genuine pair, which
+        # would load into a 32 MiB buffer without the bound.
+        forged = BufferedSketch.init([5], new_family(1, 0), 8).to_bytes()
+        forged = forged[:8] + struct.pack("<I", 1 << 22) + forged[12:]
+        assert len(forged) == 40
+        with pytest.raises(ValueError, match="ell"):
+            BufferedSketch.from_bytes(forged)
 
     @pytest.mark.parametrize("mutate", [_swap_first_keys, _forge_element, _lower_threshold,
                                         _raise_threshold, _empty_one_row])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dynminhash.hashing import (
+    _GATHER_KEYS,
     HashFamily,
     PairwiseHash,
     TabulationHash,
@@ -71,6 +72,39 @@ def test_vectorised_paths_match_scalar():
             assert int(many[j, i]) == ref
             assert int(scalar[i]) == ref
             assert fam.fn(i)(int(x)) == ref
+
+
+def _nibble_keys(fam, xs):
+    """(n, k) pair keys evaluated over the 8 nibble tables, vectorised."""
+    h = np.zeros((fam.k, xs.size), dtype=np.uint64)
+    for t in range(8):
+        h ^= fam.tables[:, t, ((xs >> np.uint64(4 * t)) & np.uint64(15)).astype(np.intp)]
+    return ((h << np.uint64(32)) | xs).T
+
+
+@pytest.mark.parametrize("k", [1, 3, 256])
+def test_keys_many_matches_nibble_tables_across_gather_blocks(k):
+    fam = new_family(k, 100 + k)
+    block = _GATHER_KEYS // k  # elements per gather block
+    rng = np.random.default_rng(k)
+    for n in (0, 1, block - 1, block, block + 1):
+        xs = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
+        xs[:1] = (1 << 32) - 1
+        got = fam.keys_many(xs)
+        assert got.shape == (n, k)
+        assert np.array_equal(got, _nibble_keys(fam, xs))
+        for j in {0, n - 1} if n else ():
+            x = int(xs[j])
+            assert [int(v) for v in got[j]] == [(fam.fn(i)(x) << 32) | x for i in range(k)]
+
+
+@pytest.mark.parametrize("k,n", [(1, 5), (7, 1000), (256, 300), (256, 513)])
+def test_keys_many_is_stored_function_major(k, n):
+    # The rebuild partitions keys_many(xs).T along its rows, in place.
+    # Element-major storage gives the same values but strides every
+    # selection, so no value test would notice it.
+    xs = np.arange(n, dtype=np.uint64)
+    assert new_family(k, 1).keys_many(xs).T.flags.c_contiguous
 
 
 def test_keys_at_gathers_each_functions_own_elements():

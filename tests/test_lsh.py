@@ -75,6 +75,30 @@ class TestIndex:
         assert cands == brute_force_candidates(idx)
         assert cands, "corpus chosen to produce at least one collision"
 
+    def test_one_differing_entry_per_band_is_never_a_candidate(self):
+        params = BandingParams(b=4, r=3)
+        base = np.arange(1, 13, dtype=np.uint64)
+        idx = LshIndex(params)
+        idx.insert("base", _sig(base))
+        for offset in range(params.r):
+            other = base.copy()
+            other[offset::params.r] += np.uint64(1 << 40)  # one entry of every band
+            idx.insert(("changed", offset), _sig(other))
+        # Every band holds the same entries as base's, in another order.
+        idx.insert("rotated", _sig(np.roll(base.reshape(params.b, params.r), 1, axis=1).ravel()))
+        assert idx.candidates() == set()
+
+    def test_seed_does_not_change_candidates(self):
+        rng = np.random.default_rng(9)
+        sigs = [_sig(rng.integers(0, 3, size=8).astype(np.uint64)) for _ in range(60)]
+        found = []
+        for seed in (0, 1, 12345, (1 << 64) - 1):
+            idx = LshIndex(BandingParams(b=4, r=2), seed=seed)
+            for i, sig in enumerate(sigs):
+                idx.insert(i, sig)
+            found.append(idx.candidates())
+        assert found[0] and all(c == found[0] for c in found)
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 3), min_size=6, max_size=6), max_size=25))
     def test_candidates_match_bucket_scan_property(self, rows):
