@@ -41,8 +41,11 @@ class VanillaSketch:
 
     @classmethod
     def init(cls, elements, family: HashFamily) -> "VanillaSketch":
+        xs = _as_element_array(elements)
+        if xs.size and int(xs.max()) >= MAX_UNIVERSE:
+            raise ValueError("element outside 32-bit universe")
         sketch = cls(family)
-        sketch._entries = family.min_hashes(_as_element_array(elements))
+        sketch._entries = family.min_hashes(xs)
         return sketch
 
     def insert(self, x: int) -> None:

@@ -266,11 +266,20 @@ def rmse_benchmark(j_values, pairs_per_j: int, k: int, seed: int,
 
 def build_signatures(sets: dict, k: int, ell: int, seed: int, sketch: str = "bmh",
                      universe_bits: int = 32):
-    """Signature per set id, using one shared family. Returns (family, dict)."""
+    """Signature per set id, using one shared family. Returns (family, dict).
+
+    Raises EmptyRowError, naming the set, when a counter sketch selects an
+    empty row for one of the sets.
+    """
     family = new_family(k, seed)
     bss_seed = _subseed(seed, 9)
-    sigs = {set_id: _make_sketch(sketch, family, ell, bss_seed, universe_bits, elements).signature()
-            for set_id, elements in sets.items()}
+    sigs = {}
+    for set_id, elements in sets.items():
+        try:
+            sigs[set_id] = _make_sketch(sketch, family, ell, bss_seed, universe_bits,
+                                        elements).signature()
+        except EmptyRowError as exc:
+            raise EmptyRowError(f"no signature for set {set_id}: {exc}") from exc
     return family, sigs
 
 

@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import bench
-from .errors import BandingInfeasibleError
+from .errors import BandingInfeasibleError, EmptyRowError
 from .lsh import BandingParams, choose_banding
 from .similarity import exact_jaccard
 from .streams import (
@@ -190,11 +190,14 @@ def _cmd_acp(args) -> None:
             raise ConfigError(str(exc)) from exc
     if banding.b * banding.r > args.k:
         raise ConfigError(f"banding {banding} needs more than k={args.k} signature entries")
-    pair_rows, summary = bench.acp_run(
-        sets, args.k, args.ell, banding, args.j, args.seed,
-        sketch=args.sketch, universe_bits=args.universe_bits,
-        negative_sample=args.sample_negatives,
-    )
+    try:
+        pair_rows, summary = bench.acp_run(
+            sets, args.k, args.ell, banding, args.j, args.seed,
+            sketch=args.sketch, universe_bits=args.universe_bits,
+            negative_sample=args.sample_negatives,
+        )
+    except EmptyRowError as exc:  # the counter sketch cannot sign one of the sets
+        raise DataError(str(exc)) from exc
     _write_rows(pair_rows or [{"schema": "acp-pairs/1", "set_id_a": "", "set_id_b": "",
                                "estimated_sim": "", "exact_sim": ""}],
                 args.out, args.json)

@@ -22,6 +22,7 @@ from dynminhash.similarity import exact_jaccard
 from dynminhash.streams import SetStore, StreamOp
 
 from conftest import identity_family
+from sketch_reads import total_buffered
 
 SEED = 20240901
 
@@ -106,7 +107,7 @@ def _replay_one(idx):
             sig_bad += 1
         if not sketch.check_invariants(pool[cols[:m]]).ok:
             inv_bad += 1
-        if sketch.total_buffered() > k * ell:
+        if total_buffered(sketch) > k * ell:
             space_bad += 1
     return n, sig_bad, inv_bad, space_bad
 

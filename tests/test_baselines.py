@@ -120,6 +120,10 @@ class TestVanilla:
         sk = VanillaSketch(new_family(4, 8))
         assert VanillaSketch.from_bytes(sk.to_bytes()).to_bytes() == sk.to_bytes()
 
+    def test_init_rejects_element_outside_universe(self):
+        with pytest.raises(ValueError, match="universe"):
+            VanillaSketch.init([3, 2**40], new_family(2, 1))
+
     @pytest.mark.parametrize("x", [2**40, -5])
     def test_delete_rejects_element_outside_universe(self, x):
         fam = new_family(2, 3)

@@ -198,6 +198,22 @@ class TestCli:
         assert summary["schema"] == "acp-summary/1"
         assert int(summary["sets"]) == 24
 
+    def test_acp_bss_empty_row_is_data_error(self, tmp_path, capsys):
+        # On graph balls of a few elements the counter sketch can select an
+        # empty row for some set; that is reported against the set, not
+        # raised.
+        rng = np.random.default_rng(0)
+        edges = tmp_path / "g.txt"
+        edges.write_text("".join(f"{a} {b}\n" for a, b in rng.integers(0, 400, size=(1200, 2))
+                                 if a != b))
+        code = run(["acp", "--edges", str(edges), "--sketch", "bss", "--top-v", "150",
+                    "--k", "64", "--ell", "8", "--seed", "2", "--j", "0.3",
+                    "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: no signature for set ")
+
     def test_acp_banding_flags_must_pair(self, tmp_path):
         code = run(["acp", "--synthetic-sets", "10", "--b", "5",
                     "--out", str(tmp_path / "x.csv")])

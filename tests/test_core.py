@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynminhash import _kernels
+from dynminhash import _kernels, core
 from dynminhash.core import MAX_ELL, TOP, BufferedSketch, Signature, make_key, split_key
 from dynminhash.errors import EmptySetError, RecoveryError
 from dynminhash.hashing import HashFamily, new_family
 from dynminhash.streams import SetStore, StreamOp
 
 from conftest import ref_signature
+from sketch_reads import buffer_contents, state_equal, threshold, total_buffered
 
 
 def test_key_roundtrip():
@@ -26,15 +27,15 @@ class TestInit:
     def test_empty_set(self):
         sk = BufferedSketch.init([], new_family(3, 1), 4)
         assert sk.is_empty()
-        assert sk.total_buffered() == 0
-        assert all(sk.threshold(i) is None for i in range(3))
+        assert total_buffered(sk) == 0
+        assert all(threshold(sk, i) is None for i in range(3))
         assert sk.check_invariants([]).ok
 
     def test_not_full_branch(self):
         fam = new_family(1, 2)
         sk = BufferedSketch.init([10, 20, 30], fam, 5)
-        assert sk.total_buffered() == 3
-        assert sk.threshold(0) is None
+        assert total_buffered(sk) == 3
+        assert threshold(sk, 0) is None
         assert sk.check_invariants([10, 20, 30]).ok
 
     def test_buffers_equal_bruteforce_smallest(self):
@@ -45,15 +46,15 @@ class TestInit:
         keys = (fam.eval_many(xs) << np.uint64(32)) | xs[:, None]
         for i in range(4):
             expect = np.sort(keys[:, i])[:8]
-            got = [make_key(h, e) for h, e in sk.buffer_contents(i)]
+            got = [make_key(h, e) for h, e in buffer_contents(sk, i)]
             assert got == expect.tolist()
-            assert sk.threshold(i) == split_key(expect[-1])
+            assert threshold(sk, i) == split_key(expect[-1])
 
     def test_duplicates_deduplicated(self):
         fam = new_family(2, 3)
         a = BufferedSketch.init([5, 5, 6, 6, 6], fam, 4)
         b = BufferedSketch.init([5, 6], fam, 4)
-        assert a.state_equal(b)
+        assert state_equal(a, b)
 
     def test_rejects_bad_ell(self):
         with pytest.raises(ValueError):
@@ -90,16 +91,16 @@ class TestInsert:
     def test_into_empty_keeps_threshold_top(self, id_family):
         sk = BufferedSketch(id_family, 2)
         sk.insert(5)
-        assert sk.buffer_contents(0) == [(5, 5)]
-        assert sk.threshold(0) is None
+        assert buffer_contents(sk, 0) == [(5, 5)]
+        assert threshold(sk, 0) is None
 
     def test_full_buffer_hand_trace(self, id_family):
         # identity hashes: pairs are (x, x); buffer {(3,3),(7,7)}, delta (7,7)
         sk = BufferedSketch.init([3, 7], id_family, 2)
-        assert sk.threshold(0) == (7, 7)
+        assert threshold(sk, 0) == (7, 7)
         sk.insert(5)
-        assert sk.buffer_contents(0) == [(3, 3), (5, 5)]
-        assert sk.threshold(0) == (5, 5)
+        assert buffer_contents(sk, 0) == [(3, 3), (5, 5)]
+        assert threshold(sk, 0) == (5, 5)
         # cross-check against a from-scratch rebuild on the same set
         rebuilt = BufferedSketch.init([3, 7, 5], id_family, 2)
         assert np.array_equal(
@@ -109,7 +110,7 @@ class TestInsert:
     def test_above_threshold_ignored(self, id_family):
         sk = BufferedSketch.init([1, 2], id_family, 2)
         sk.insert(9)  # (9, 9) > delta (2, 2)
-        assert sk.buffer_contents(0) == [(1, 1), (2, 2)]
+        assert buffer_contents(sk, 0) == [(1, 1), (2, 2)]
         assert sk.check_invariants([1, 2, 9]).ok
 
     def test_reinsert_is_bit_identical(self):
@@ -134,18 +135,18 @@ class TestDelete:
     def test_fault_and_recovery(self, id_family):
         # ell=1: the buffer holds only the smallest pair; deleting it faults.
         sk = BufferedSketch.init([4, 9], id_family, 1)
-        assert sk.buffer_contents(0) == [(4, 4)]
+        assert buffer_contents(sk, 0) == [(4, 4)]
         sk.delete(4, lambda: [9])
         assert sk.fault_count == 1
         assert sk.recovery_elements_streamed == 1
-        assert sk.buffer_contents(0) == [(9, 9)]
+        assert buffer_contents(sk, 0) == [(9, 9)]
         assert sk.check_invariants([9]).ok
 
     def test_delete_last_element_resets_cleanly(self, id_family):
         sk = BufferedSketch.init([42], id_family, 2)
         sk.delete(42, lambda: [])
         assert sk.is_empty()
-        assert sk.threshold(0) is None
+        assert threshold(sk, 0) is None
         assert sk.fault_count == 0  # emptying the set is not a fault
         assert sk.check_invariants([]).ok
 
@@ -153,7 +154,7 @@ class TestDelete:
         fam = new_family(2, 17)
         elements = list(range(200))
         sk = BufferedSketch.init(elements, fam, 4)
-        buffered = {e for i in range(2) for _, e in sk.buffer_contents(i)}
+        buffered = {e for i in range(2) for _, e in buffer_contents(sk, i)}
         victim = next(x for x in elements if x not in buffered)
         before = sk.to_bytes()
         sk.delete(victim, lambda: [x for x in elements if x != victim])
@@ -209,8 +210,22 @@ class TestTopKeyElement:
             sk = BufferedSketch.init(members, fam, 3)
             sk.insert(self.X)
             want = BufferedSketch.init(members + [self.X], fam, 3)
-            assert sk.state_equal(want)
+            assert state_equal(sk, want)
             assert sk.signature() == want.signature()
+
+    def test_merged_run_matches_init(self, monkeypatch, compiled):
+        # A run long enough to be merged; at these ells function 0's row
+        # ends with the TOP key dropped, last in a full row, or in a row
+        # that stays short, where the size must count it.
+        monkeypatch.setattr(_kernels, "ENABLED", compiled)
+        fam = _top_key_family()
+        run = list(range(10, 10 + core._MERGE_MIN)) + [self.X]
+        for ell in (len(run) - 1, len(run), len(run) + 2, len(run) + 3):
+            for members in ([], [1, 2], [1, self.X]):
+                sk = BufferedSketch.init(members, fam, ell)
+                for x in run:
+                    sk.insert(x)
+                assert state_equal(sk, BufferedSketch.init(members + run, fam, ell))
 
     def test_phantom_delete_is_noop(self, monkeypatch, compiled):
         monkeypatch.setattr(_kernels, "ENABLED", compiled)
@@ -323,7 +338,7 @@ class TestSerialization:
         fam = new_family(5, 31)
         sk = BufferedSketch.init(range(40), fam, 6)
         clone = BufferedSketch.from_bytes(sk.to_bytes())
-        assert sk.state_equal(clone)
+        assert state_equal(sk, clone)
         assert clone.signature() == sk.signature()
 
     def test_roundtrip_with_shared_family(self):
@@ -331,7 +346,7 @@ class TestSerialization:
         sk = BufferedSketch.init(range(10), fam, 2)
         clone = BufferedSketch.from_bytes(sk.to_bytes(), family=fam)
         assert clone.family is fam
-        assert sk.state_equal(clone)
+        assert state_equal(sk, clone)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
@@ -355,11 +370,11 @@ class TestSerialization:
 
     def test_empty_sketch_roundtrip(self):
         sk = BufferedSketch(new_family(2, 43), 3)
-        assert BufferedSketch.from_bytes(sk.to_bytes()).state_equal(sk)
+        assert state_equal(BufferedSketch.from_bytes(sk.to_bytes()), sk)
 
     def test_ell_bound_applies_to_checkpoints(self):
         at_bound = BufferedSketch.init([5], new_family(1, 0), MAX_ELL)
-        assert BufferedSketch.from_bytes(at_bound.to_bytes()).state_equal(at_bound)
+        assert state_equal(BufferedSketch.from_bytes(at_bound.to_bytes()), at_bound)
         above = at_bound.to_bytes()
         above = above[:8] + struct.pack("<I", MAX_ELL + 1) + above[12:]
         with pytest.raises(ValueError, match="ell"):
@@ -431,7 +446,7 @@ def _replay(seed, n_ops, k, ell, pool_size, universe=1 << 12):
             sketch.delete(x, recover)
         members = store.contents(0)
         assert sketch.check_invariants(members).ok
-        assert sketch.total_buffered() <= k * ell
+        assert total_buffered(sketch) <= k * ell
         if members:
             expect = ref_signature(fam, members)
             assert np.array_equal(sketch.signature().values, expect)
@@ -567,6 +582,7 @@ class _BufferModel:
             self.delta[i] = keys[-1] if len(keys) == self.ell else int(TOP)
 
     def assert_matches(self, sketch):
+        sketch._flush()
         assert sketch._size.tolist() == [len(keys) for keys in self.lists]
         assert sketch._delta.tolist() == self.delta
         padded = [keys + [int(TOP)] * (self.ell - len(keys)) for keys in self.lists]
@@ -622,3 +638,157 @@ def test_state_matches_buffer_model(k, ell, narrow):
         assert sketch._structure_faults() == []
     assert min(model.events.values()) > 0, model.events
     assert gate_false_positives > 0 or not narrow
+
+
+def _bursty_ops(seed, ell):
+    """A stream of ("insert", x), ("delete", x) and ("read", None) ops.
+
+    It runs in groups of three insert bursts. The first takes one of the
+    lengths around the merge cut-off and the pending cap, and deletes then
+    shrink the set to ell + 2 elements. The second is short and is followed
+    by a few deletes, which leave rows short but with their thresholds. The
+    third, merged, meets those rows and inserts the whole set again; the
+    set is then drained. Bursts draw some elements from themselves and from
+    the tracked set, and some deletes are phantom.
+    """
+    rng = np.random.default_rng(seed)
+    cut, cap = core._MERGE_MIN, core._PENDING_CAP
+    pool = rng.choice(1 << 32, size=3 * cap, replace=False).tolist()
+    members, ops = [], []
+
+    def burst(length, extra=()):
+        nonlocal members
+        run = []
+        for _ in range(length):
+            r = rng.random()
+            if run and r < 0.05:
+                x = run[rng.integers(len(run))]
+            elif members and r < 0.2:
+                x = members[rng.integers(len(members))]
+            else:
+                x = pool[rng.integers(len(pool))]
+            run.append(x)
+        run += extra
+        ops.extend(("insert", x) for x in run)
+        members = list(dict.fromkeys(members + run))
+        ops.append(("read", None))
+
+    def delete(victims):
+        nonlocal members
+        for x in victims:
+            if rng.random() < 0.2:
+                ops.append(("delete", pool[rng.integers(len(pool))]))  # mostly phantom
+            ops.append(("delete", x))
+        gone = set(victims)
+        members = [x for x in members if x not in gone]
+        ops.append(("read", None))
+
+    for length in (cut - 1, cut, cut + 1, cap - 1, cap, cap + 1):
+        burst(length)
+        delete(rng.permutation(members)[:max(0, len(members) - ell - 2)].tolist())
+        burst(int(rng.integers(1, 4)))
+        delete([members[i] for i in rng.integers(len(members), size=rng.integers(1, ell + 2))])
+        burst(cut, members)
+        delete(rng.permutation(members).tolist())
+    return ops
+
+
+def _replay_deferred(ops, k, ell, seed, on_burst=None):
+    """Replay ``ops``; returns (to_bytes, fault_count) after every delete and
+    read. ``on_burst(sketch, None)`` sees the state before each insert burst,
+    and ``on_burst(sketch, burst)`` the burst's elements once it ends."""
+    fam = new_family(k, seed)
+    sketch, members, snaps, burst = BufferedSketch(fam, ell), set(), [], []
+    for op, x in ops:
+        if op == "insert":
+            if on_burst is not None and not burst:
+                on_burst(sketch, None)
+            burst.append(x)
+            members.add(x)
+            sketch.insert(x)
+            continue
+        if burst and on_burst is not None:
+            on_burst(sketch, burst)
+        burst = []
+        if op == "delete":
+            members.discard(x)
+            sketch.delete(x, lambda: list(members))
+        else:
+            try:
+                sig = sketch.signature()
+            except EmptySetError:
+                assert not members and sketch.is_empty()
+            else:
+                assert np.array_equal(sig.values, ref_signature(fam, members))
+            assert sketch.check_invariants(members).ok
+        snaps.append((sketch.to_bytes(), sketch.fault_count))
+    return snaps
+
+
+@pytest.mark.parametrize("k,ell,seed", [(1, 1, 0), (5, 2, 1), (64, 32, 2), (40, 7, 3)])
+def test_deferred_inserts_match_per_op_path(monkeypatch, k, ell, seed):
+    """Merged insert runs leave the state of inserting one by one: after
+    every delete and read, checkpoints and fault counts equal those of a
+    replay whose flushes all run the per-op insert."""
+    ops = _bursty_ops(seed, ell)
+    cut, cap = core._MERGE_MIN, core._PENDING_CAP
+    events = dict.fromkeys(("dup_in_run", "dup_buffered", "phantom", "fault",
+                            "merged_into_short_row_with_threshold"), 0)
+    before = {}
+
+    def observe(sketch, burst):
+        if burst is None:
+            buf = sketch._buf[sketch._buf != TOP]
+            before.update(buffered=set((buf & np.uint64(0xFFFFFFFF)).tolist()),
+                          size=sketch._size.copy(), delta=sketch._delta.copy())
+            return
+        events["dup_in_run"] += len(set(burst)) < len(burst)
+        events["dup_buffered"] += any(x in before["buffered"] for x in burst)
+        sketch._flush()
+        short = (before["size"] < ell) & (before["delta"] != TOP)
+        grew = (short & (sketch._size > before["size"])).any()
+        events["merged_into_short_row_with_threshold"] += len(burst) >= cut and bool(grew)
+
+    with monkeypatch.context() as m:
+        m.setattr(core, "_MERGE_MIN", cap + 1)
+        want = _replay_deferred(ops, k, ell, seed, observe)
+    members = set()
+    for op, x in ops:
+        if op == "delete":
+            events["phantom"] += x not in members
+            members.discard(x)
+        elif op == "insert":
+            members.add(x)
+    events["fault"] = want[-1][1]
+
+    flushed = []
+    flush = BufferedSketch._flush
+
+    def counted_flush(sketch):
+        if sketch._pending:
+            flushed.append(len(sketch._pending))
+        flush(sketch)
+
+    monkeypatch.setattr(BufferedSketch, "_flush", counted_flush)
+    got = _replay_deferred(ops, k, ell, seed)
+    assert len(got) == len(want)
+    for j, (a, b) in enumerate(zip(got, want)):
+        assert a == b, f"state differs after snapshot {j}"
+    runs = {"below_cut": min(flushed) < cut, "at_cut": cut in flushed,
+            "merged_below_cap": any(cut < n < cap for n in flushed), "at_cap": cap in flushed,
+            "above_cap": max(flushed) == cap and any(n > cap for n in _burst_lengths(ops))}
+    assert all(runs.values()), runs
+    if ell == 1:  # a one-slot row is full or, with every other row, empty
+        del events["merged_into_short_row_with_threshold"]
+    assert min(events.values()) > 0, events
+
+
+def _burst_lengths(ops):
+    lengths, n = [], 0
+    for op, _ in ops:
+        if op == "insert":
+            n += 1
+        elif n:
+            lengths.append(n)
+            n = 0
+    return lengths
