@@ -41,8 +41,8 @@ rng = np.random.default_rng(3)
 for s in (0.3, 0.6, 0.9):
     hits = 0
     trials = 5000
-    for t in range(trials):
-        idx = LshIndex(params, seed=t)
+    for _ in range(trials):
+        idx = LshIndex(params)
         sig = rng.integers(1, 1 << 32, size=64, dtype=np.uint64)
         twin = np.where(rng.random(64) < s, sig, sig + np.uint64(1))
         idx.insert("a", Signature(sig))

@@ -71,7 +71,7 @@ print(f"500 churn updates handled, {faults} recovery rebuilds across all sketche
 # All-candidate-pairs over the current neighborhoods.
 threshold = 0.3
 banding = choose_banding(128, threshold, 0.9)
-index = LshIndex(banding, seed=1)
+index = LshIndex(banding)
 for c in centers:
     if not sketches[c].is_empty():
         index.insert(c, sketches[c].signature())

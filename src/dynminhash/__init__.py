@@ -14,7 +14,7 @@ The package provides:
 """
 
 from .baselines import BssProactiveSketch, BssSketch, VanillaSketch
-from .core import TOP, BufferedSketch, Signature, make_key, split_key
+from .core import TOP, BufferedSketch, Signature
 from .errors import (
     BandingInfeasibleError,
     EmptyRowError,
@@ -26,7 +26,6 @@ from .hashing import (
     MAX_UNIVERSE,
     HashFamily,
     PairwiseHash,
-    TabulationHash,
     new_family,
     new_pairwise,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "SimilarityEstimate",
     "StreamOp",
     "TOP",
-    "TabulationHash",
     "VanillaSketch",
     "candidate_probability",
     "choose_banding",
@@ -79,12 +77,10 @@ __all__ = [
     "gen_mixed_workload",
     "gen_uniform_stream",
     "load_graph_balls",
-    "make_key",
     "new_family",
     "new_pairwise",
     "read_stream",
     "rmse",
     "score_acp",
-    "split_key",
     "write_stream",
 ]

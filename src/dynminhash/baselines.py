@@ -20,9 +20,9 @@ import struct
 import numpy as np
 
 from . import _kernels
-from .core import _LOW, _SHIFT, TOP, Signature, _as_element_array, _recover
+from .core import _LOW, _SHIFT, TOP, Signature, _recover
 from .errors import EmptyRowError, EmptySetError, IllegalStreamError
-from .hashing import MAX_UNIVERSE, HashFamily, derive_seed, new_pairwise
+from .hashing import HashFamily, as_element, as_element_set, derive_seed, new_pairwise
 
 #: Row-selection constant for signature queries on the counter sketches.
 ALPHA = 0.1
@@ -41,16 +41,12 @@ class VanillaSketch:
 
     @classmethod
     def init(cls, elements, family: HashFamily) -> "VanillaSketch":
-        xs = _as_element_array(elements)
-        if xs.size and int(xs.max()) >= MAX_UNIVERSE:
-            raise ValueError("element outside 32-bit universe")
         sketch = cls(family)
-        sketch._entries = family.min_hashes(xs)
+        sketch._entries = family.min_hashes(as_element_set(elements))
         return sketch
 
     def insert(self, x: int) -> None:
-        if not 0 <= x < MAX_UNIVERSE:
-            raise ValueError(f"element {x} outside 32-bit universe")
+        x = as_element(x)
         if _kernels.ENABLED:
             _kernels.vanilla_insert_op(self.family._byte_tables(), np.uint64(x), self._entries)
             return
@@ -59,11 +55,11 @@ class VanillaSketch:
     def delete(self, x: int, recover) -> None:
         """Drop x; one recovery query and a full recompute if x is any argmin.
 
-        As in ``BufferedSketch.delete``, a failed or stale recovery raises
-        RecoveryError and keeps the pre-delete state.
+        As in ``BufferedSketch.delete``, a failed or stale recovery, or one
+        that returns an invalid element, raises RecoveryError and keeps the
+        pre-delete state and counters.
         """
-        if not 0 <= x < MAX_UNIVERSE:
-            raise ValueError(f"element {x} outside 32-bit universe")
+        x = as_element(x)
         entries = self._entries
         if _kernels.ENABLED:
             if not _kernels.vanilla_is_argmin(entries, np.uint64(x)):
@@ -151,8 +147,7 @@ class BssSketch:
         """Apply one legal update; returns (row, cell, new counter value)."""
         if op not in (1, -1):
             raise ValueError("op must be +1 or -1")
-        if not 0 <= x < MAX_UNIVERSE:
-            raise ValueError(f"element {x} outside 32-bit universe")
+        x = as_element(x)
         level, cell = self._place(x)
         if op == -1 and self.counters[level, cell] == 0:
             raise IllegalStreamError(f"delete of element {x} hit an empty cell")

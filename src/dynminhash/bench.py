@@ -316,7 +316,7 @@ def acp_run(sets: dict, k: int, ell: int, banding: BandingParams, threshold: flo
     Returns (pair_rows, summary_dict).
     """
     _, sigs = build_signatures(sets, k, ell, seed, sketch, universe_bits)
-    index = LshIndex(banding, seed=_subseed(seed, 11))
+    index = LshIndex(banding)
     for set_id, sig in sigs.items():
         index.insert(set_id, sig)
     returned = index.candidates()

@@ -2,10 +2,13 @@
 
 Elements are 0-based unsigned values in [0, 2^32). All hash functions map
 such 32-bit keys to 32-bit values and are fully determined by their seed, so
-every experiment is bit-reproducible from a single master seed.
+every experiment is bit-reproducible from a single master seed. Every
+element that enters a sketch passes ``as_element`` or ``as_element_set``.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 import numpy as np
 
@@ -17,9 +20,50 @@ _U64 = (1 << 64) - 1
 #: Keys per gather block in ``HashFamily.keys_many`` (512 KiB of uint32).
 _GATHER_KEYS = 1 << 17
 
+#: Bytes of keys per chunk in ``HashFamily.min_hashes`` (128 MiB).
+_MIN_CHUNK_BYTES = 1 << 27
+
 # splitmix64 constants, used to derive independent per-function subseeds from
 # one master seed (counter-based, so function i is reproducible in isolation).
 _GAMMA = 0x9E3779B97F4A7C15
+
+
+def as_element(x) -> int:
+    """x as an element: an integer (``operator.index``) in [0, 2^32).
+
+    Raises TypeError for a float, str or other non-integer, and ValueError
+    for an integer outside the universe. ``BufferedSketch.insert`` and
+    ``delete`` inline the same two steps.
+    """
+    x = index(x)
+    if not 0 <= x < MAX_UNIVERSE:
+        raise ValueError(f"element {x} outside 32-bit universe")
+    return x
+
+
+def as_element_set(elements) -> np.ndarray:
+    """The elements as a sorted, duplicate-free uint64 array.
+
+    ``elements`` is an integer-dtype array or an iterable of integers, each
+    in [0, 2^32). Empty input of any dtype is the empty set. Raises
+    TypeError for float, str, bool or object values and ValueError for an
+    integer outside the universe. The range test reads only the two ends of
+    the sorted array, so it adds no pass over the elements.
+    """
+    xs = elements if isinstance(elements, np.ndarray) else np.asarray(list(elements))
+    if xs.size == 0:
+        return np.empty(0, dtype=np.uint64)
+    if xs.dtype.kind not in "iu":
+        # numpy stores a list of ints that includes one beyond 64 bits as objects.
+        if xs.dtype == object and all(type(v) is int for v in xs.flat):
+            raise ValueError("element outside 32-bit universe")
+        raise TypeError(f"elements must be integers, got {xs.dtype} values")
+    # Sort, then drop repeats: the result of np.unique, which measured 5-18x
+    # slower for 300 to 32768 elements (numpy 2.4, 2-vCPU host).
+    xs = np.sort(xs, axis=None)
+    if xs[0] < 0 or xs[-1] >= MAX_UNIVERSE:
+        raise ValueError(f"elements {xs[0]}..{xs[-1]} reach outside the 32-bit universe")
+    return xs[np.concatenate(([True], xs[1:] != xs[:-1]))].astype(np.uint64, copy=False)
 
 
 def _splitmix64(z: int) -> int:
@@ -37,48 +81,6 @@ def derive_seed(master_seed: int, index: int) -> int:
 def _tables_from_seed(seed: int) -> np.ndarray:
     """8 lookup tables of 16 random 32-bit words, shaped (8, 16)."""
     return np.random.SeedSequence(seed).generate_state(128, dtype=np.uint32).reshape(8, 16)
-
-
-class TabulationHash:
-    """One tabulation hash over 32-bit keys.
-
-    Eight tables of 16 random words; the hash is the XOR of one table entry
-    per 4-bit slice of the key. Evaluation is a pure, constant-time function
-    of (seed, key).
-    """
-
-    __slots__ = ("tables", "seed")
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self.tables = _tables_from_seed(self.seed)
-        self.tables.setflags(write=False)
-
-    @classmethod
-    def from_tables(cls, tables, seed: int = -1) -> "TabulationHash":
-        """Build directly from an (8, 16) table array (mainly for tests)."""
-        obj = cls.__new__(cls)
-        t = np.ascontiguousarray(tables, dtype=np.uint32)
-        if t.shape != (8, 16):
-            raise ValueError(f"tables must have shape (8, 16), got {t.shape}")
-        obj.tables = t
-        obj.tables.setflags(write=False)
-        obj.seed = int(seed)
-        return obj
-
-    def __call__(self, x: int) -> int:
-        if not 0 <= x < MAX_UNIVERSE:
-            raise ValueError(f"element {x} outside 32-bit universe")
-        t = self.tables
-        h = int(t[0, x & 15])
-        h ^= int(t[1, (x >> 4) & 15])
-        h ^= int(t[2, (x >> 8) & 15])
-        h ^= int(t[3, (x >> 12) & 15])
-        h ^= int(t[4, (x >> 16) & 15])
-        h ^= int(t[5, (x >> 20) & 15])
-        h ^= int(t[6, (x >> 24) & 15])
-        h ^= int(t[7, (x >> 28) & 15])
-        return h
 
 
 class HashFamily:
@@ -133,18 +135,6 @@ class HashFamily:
         """Identity token carried by signatures for compatibility checks."""
         return (self.master_seed, self.k)
 
-    def fn(self, i: int) -> TabulationHash:
-        """The i-th function as a standalone hash.
-
-        For seed-built families the returned hash is also reproducible in
-        isolation as TabulationHash(derive_seed(master_seed, i)).
-        """
-        return TabulationHash.from_tables(self.tables[i], derive_seed(self.master_seed, i))
-
-    @property
-    def functions(self) -> list:
-        return [self.fn(i) for i in range(self.k)]
-
     def _byte_tables(self) -> np.ndarray:
         # (4, 256, k) uint32: byte-wide tables precombined from the nibble
         # tables, so XORing the four entries an element's bytes select yields
@@ -182,10 +172,6 @@ class HashFamily:
             self._stream = (lanes, memoryview(p).cast("B").cast("I"), guard)
         return self._stream
 
-    def eval_one(self, x: int) -> np.ndarray:
-        """All k hash values of one element, shape (k,) uint64 (32-bit values)."""
-        return self.key_one(x) >> np.uint64(32)
-
     def key_one(self, x: int) -> np.ndarray:
         """All k pair keys (hash << 32 | x) of one element, shape (k,)."""
         if not 0 <= x < MAX_UNIVERSE:
@@ -197,13 +183,6 @@ class HashFamily:
         key = np.left_shift(h, 32, dtype=np.uint64)
         key |= np.uint64(x)
         return key
-
-    def eval_many(self, xs) -> np.ndarray:
-        """Hash values for many elements, shape (len(xs), k) uint64.
-
-        Row j holds the k hash values of ``xs[j]``.
-        """
-        return self.keys_many(xs) >> np.uint64(32)
 
     def _hashes(self, xs, fn=slice(None)) -> np.ndarray:
         """uint32 hashes of ``xs`` under the functions ``fn`` selects.
@@ -242,7 +221,7 @@ class HashFamily:
         out |= xs
         return out
 
-    def min_hashes(self, elements, chunk_bytes: int = 1 << 27) -> np.ndarray:
+    def min_hashes(self, elements) -> np.ndarray:
         """Per-function minimum of (hash, element) keys over ``elements``.
 
         Returns the k minima as uint64 keys (hash in the high 32 bits).
@@ -253,7 +232,7 @@ class HashFamily:
         best = np.full(self.k, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
         if xs.size == 0:
             return best
-        step = max(1, chunk_bytes // (8 * self.k))
+        step = max(1, _MIN_CHUNK_BYTES // (8 * self.k))
         for start in range(0, xs.size, step):
             keys = self.keys_many(xs[start:start + step])
             np.minimum(best, keys.min(axis=0), out=best)
@@ -286,12 +265,6 @@ class PairwiseHash:
 
     def __call__(self, x: int, range_: int) -> int:
         return ((self.a * x + self.b) % self.P) % range_
-
-    def eval_many(self, xs, range_: int) -> np.ndarray:
-        a, b, p = self.a, self.b, self.P
-        return np.fromiter(
-            (((a * int(x) + b) % p) % range_ for x in xs), dtype=np.int64, count=len(xs)
-        )
 
 
 def new_pairwise(seed: int) -> PairwiseHash:

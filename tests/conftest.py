@@ -12,7 +12,7 @@ def ref_min_keys(family, elements):
     xs = np.asarray(list(elements), dtype=np.uint64)
     if xs.size == 0:
         return np.full(family.k, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-    keys = (family.eval_many(xs) << np.uint64(32)) | xs[:, None]
+    keys = family.keys_many(xs)
     return keys.min(axis=0)
 
 

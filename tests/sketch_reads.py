@@ -6,7 +6,13 @@ applies the pending inserts first, as the sketch's own readers do.
 
 import numpy as np
 
-from dynminhash.core import TOP, split_key
+from dynminhash.core import TOP
+
+
+def split_key(key: int) -> tuple:
+    """Unpack a uint64 pair key into its (hash, element) pair."""
+    key = int(key)
+    return key >> 32, key & 0xFFFFFFFF
 
 
 def total_buffered(sketch) -> int:

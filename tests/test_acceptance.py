@@ -22,6 +22,7 @@ from dynminhash.similarity import exact_jaccard
 from dynminhash.streams import SetStore, StreamOp
 
 from conftest import identity_family
+from hash_oracles import fn
 from sketch_reads import total_buffered
 
 SEED = 20240901
@@ -418,7 +419,7 @@ class _NaiveBuffer:
 def _search_naive_witness(fam, ell=2, universe=4, max_len=6):
     """Exhaustive search over legal op sequences for a state where the naive
     buffer reports a wrong minimum. Depth-first with legality pruning."""
-    h = fam.fn(0)
+    h = fn(fam, 0)
 
     def extend(seq, members):
         if seq:
@@ -452,7 +453,7 @@ def test_criterion_10_naive_counterexample():
     store = SetStore()
     sketch = BufferedSketch(fam, 2)
     recover = store.recovery_provider(0)
-    naive = _NaiveBuffer(fam.fn(0), 2)
+    naive = _NaiveBuffer(fn(fam, 0), 2)
     for op, x in witness:
         store.apply(StreamOp(0, x, op))
         if op == 1:
@@ -462,7 +463,7 @@ def test_criterion_10_naive_counterexample():
             sketch.delete(x, recover)
             naive.delete(x)
     members = store.contents(0)
-    true_min = min(fam.fn(0)(x) for x in members)
+    true_min = min(fn(fam, 0)(x) for x in members)
     sketch_min = int(sketch.signature().values[0])
     naive_min = naive.minimum()[0] if naive.minimum() else None
     ok = sketch_min == true_min and naive_min != true_min

@@ -8,17 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynminhash import _kernels, core
-from dynminhash.core import MAX_ELL, TOP, BufferedSketch, Signature, make_key, split_key
+from dynminhash.core import MAX_ELL, TOP, BufferedSketch, Signature
 from dynminhash.errors import EmptySetError, RecoveryError
 from dynminhash.hashing import HashFamily, new_family
 from dynminhash.streams import SetStore, StreamOp
 
 from conftest import ref_signature
-from sketch_reads import buffer_contents, state_equal, threshold, total_buffered
+from hash_oracles import fn
+from sketch_reads import buffer_contents, split_key, state_equal, threshold, total_buffered
 
 
 def test_key_roundtrip():
-    key = make_key(0xDEADBEEF, 0x12345678)
+    key = (0xDEADBEEF << 32) | 0x12345678
     assert split_key(key) == (0xDEADBEEF, 0x12345678)
     assert split_key(TOP) == (0xFFFFFFFF, 0xFFFFFFFF)
 
@@ -43,10 +44,10 @@ class TestInit:
         elements = list(range(1000, 1100))
         sk = BufferedSketch.init(elements, fam, 8)
         xs = np.array(elements, dtype=np.uint64)
-        keys = (fam.eval_many(xs) << np.uint64(32)) | xs[:, None]
+        keys = fam.keys_many(xs)
         for i in range(4):
             expect = np.sort(keys[:, i])[:8]
-            got = [make_key(h, e) for h, e in buffer_contents(sk, i)]
+            got = [(h << 32) | e for h, e in buffer_contents(sk, i)]
             assert got == expect.tolist()
             assert threshold(sk, i) == split_key(expect[-1])
 
@@ -543,7 +544,7 @@ class _BufferModel:
     """
 
     def __init__(self, family, ell):
-        self.fns = family.functions
+        self.fns = [fn(family, i) for i in range(family.k)]
         self.ell = ell
         self.lists = [[] for _ in self.fns]
         self.delta = [int(TOP)] * len(self.fns)

@@ -111,6 +111,7 @@ class TestRmse:
         assert 0.7 * predicted <= rmse(pairs) <= 1.3 * predicted
 
 
+@pytest.mark.slow
 def test_estimates_are_unbiased():
     # Mean estimate over many independent families concentrates on J.
     k = 16
