@@ -50,8 +50,9 @@ MAX_ELL = 1 << 16
 #: and deletes, off the merge.
 _MERGE_MIN = 64
 
-#: ``insert`` flushes once this many inserts are pending, which bounds the
-#: merge's (k, n) key array (8 MiB at k=256). Replaying six churn streams
+#: ``insert`` flushes once this many inserts are pending, and ``_merge``
+#: hashes at most this many elements at a time, which bounds the (k, n) key
+#: array of every bulk path (8 MiB at k=256). Replaying six churn streams
 #: (2^15 inserts, then their deletes; k=256, ell=32; same host), caps from
 #: 1024 to 8192 gave insert phases of 87-139 ms, within the host's noise
 #: of each other, against 388-419 ms per-op, and a peak RSS of 76.2-77.0 MB
@@ -182,38 +183,15 @@ class BufferedSketch:
         """Build the sketch of ``elements`` from scratch.
 
         Duplicate elements are tolerated and deduplicated; elements are
-        checked as ``hashing.as_element_set`` checks them. Runs in
-        O(|A| * k) time (vectorised), one hash evaluation per (element,
-        function) pair.
+        checked as ``hashing.as_element_set`` checks them. One hash
+        evaluation per (element, function) pair, merged into the empty
+        sketch in blocks of _PENDING_CAP elements (``_merge``), so the
+        working memory is one block of keys whatever |A| is: a traced peak
+        of 9 MiB at k=256 and 65 MiB at k=2000.
         """
         sketch = cls(family, ell)
-        sketch._rebuild(as_element_set(elements))
+        sketch._merge(as_element_set(elements))
         return sketch
-
-    def _rebuild(self, xs: np.ndarray):
-        """Recompute all buffers and thresholds from ``as_element_set`` output."""
-        ell = self.ell
-        self._set_empty()
-        n = xs.size
-        if n == 0:
-            return
-        # (k, n) keys, contiguous along the elements (keys_many stores them
-        # function-major), so every per-function selection below runs over
-        # contiguous memory.
-        keys = self.family.keys_many(xs).T
-        if n <= ell:
-            keys.sort(axis=1)
-            self._buf[:, :n] = keys
-            self._size[:] = n
-        else:
-            keys.partition(ell - 1, axis=1)
-            head = keys[:, :ell]
-            head.sort(axis=1)
-            self._buf[:] = head
-            self._size[:] = ell
-        if n >= ell:
-            self._delta[:] = self._buf[:, ell - 1]
-            self._gate = _gate_of(self._delta)
 
     # -- stream operations -------------------------------------------------
 
@@ -271,42 +249,49 @@ class BufferedSketch:
             for x in pending:
                 self._insert_one(x)
         else:
-            self._merge(pending)
+            self._merge(as_element_set(pending))
 
-    def _merge(self, pending: list) -> None:
-        """Apply a run of inserts at once, leaving the state that inserting
-        them one by one leaves.
+    def _merge(self, xs: np.ndarray) -> None:
+        """Insert the elements ``xs`` (``as_element_set`` output: sorted,
+        no repeats) at once, leaving the state that inserting them one by
+        one leaves. ``init``, a fault's rebuild and a long flush run here.
 
         During inserts a threshold only falls, and a row that fills keeps
         its smallest keys. So row i ends as the smallest min(ell, .) of its
-        keys and the run's keys at or below its threshold at the start of
-        the run, and a row that ends full takes its last key as threshold.
-        Only the run's ell smallest keys per row can enter it.
+        keys and the new keys at or below its threshold at the start, and
+        a row that ends full takes its last key as threshold. Elements are
+        hashed _PENDING_CAP at a time, and only a block's ell smallest keys
+        per row can enter the row.
         """
         ell, size, delta = self.ell, self._size, self._delta
-        xs = np.unique(np.array(pending, dtype=np.uint64))
-        keys = self.family.keys_many(xs).T  # (k, n), contiguous along the run
-        # Only x = 2^32 - 1, the run's last element, can have a key equal
-        # to TOP, which the masking below cannot tell from padding. Such a
-        # key enters a row whose threshold is TOP, or is buffered already,
-        # as the row's last key.
-        top = (keys[:, -1] == TOP) & (delta == TOP)
-        top |= (size > 0) & (self._buf[np.arange(self.family.k), size - 1] == TOP)
-        if keys.shape[1] > ell:
-            keys.partition(ell - 1, axis=1)
-            keys = keys[:, :ell]
-        rows = np.concatenate((self._buf, np.where(keys <= delta[:, None], keys, TOP)), axis=1)
-        # The buffer half is sorted, and after the first sort the whole row
-        # is, which numpy's stable sort handles about twice as fast.
-        rows.sort(axis=1, kind="stable")
-        rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = TOP  # a key already buffered
-        rows.sort(axis=1, kind="stable")
-        rows = rows[:, :ell]
-        size[:] = np.minimum((rows != TOP).sum(axis=1) + top, ell)
-        full = size == ell
-        delta[full] = rows[full, ell - 1]
-        self._buf[:] = rows
-        self._gate = _gate_of(delta)
+        for start in range(0, xs.size, _PENDING_CAP):
+            keys = self.family.keys_many(xs[start:start + _PENDING_CAP]).T  # (k, block)
+            # Only x = 2^32 - 1, the last element, can have a key equal to
+            # TOP, which the masking below cannot tell from padding.
+            top_key = keys[:, -1] == TOP
+            if keys.shape[1] > ell:
+                keys.partition(ell - 1, axis=1)
+                keys = keys[:, :ell]
+            if self._sizev[0]:
+                # A TOP key enters a row whose threshold is TOP, or is
+                # buffered already, as the (nonempty) row's last key.
+                top = top_key & (delta == TOP)
+                top |= self._buf[np.arange(self.family.k), size - 1] == TOP
+                rows = np.concatenate((self._buf, np.where(keys <= delta[:, None], keys, TOP)), axis=1)
+                rows.sort(axis=1)
+                rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = TOP  # a key already buffered
+                rows.sort(axis=1)
+                rows = rows[:, :ell]
+                size[:] = np.minimum((rows != TOP).sum(axis=1) + top, ell)
+            else:  # empty rows take the block's smallest keys, a TOP key too
+                rows = keys
+                rows.sort(axis=1)
+                size[:] = rows.shape[1]
+            self._buf[:, :rows.shape[1]] = rows
+            full = size == ell
+            delta[full] = self._buf[full, ell - 1]
+            self._gate = _gate_of(delta)
+            del keys, rows  # freed before the next block is hashed
 
     def _insert_one(self, x: int) -> None:
         """Insert x (checked) now: the per-op path."""
@@ -366,7 +351,7 @@ class BufferedSketch:
             fault = _kernels.delete_op(self.family._byte_tables(), np.uint64(x),
                                        self._buf, self._size, self._delta)
             if fault:
-                self._recover_and_rebuild(recover, x)
+                self._fault(recover, x)
             return
         ell = self.ell
         buf, size = self._bufv, self._sizev
@@ -377,7 +362,7 @@ class BufferedSketch:
             pos = bisect_left(buf, key, lo, end)
             if pos < end and buf[pos] == key:
                 if end - lo == 1:
-                    self._recover_and_rebuild(recover, x)
+                    self._fault(recover, x)
                     return
                 hits.append((i, pos, end))
         for i, pos, end in hits:
@@ -385,14 +370,15 @@ class BufferedSketch:
             buf[end - 1] = _TOP_INT
             size[i] -= 1
 
-    def _recover_and_rebuild(self, recover, x: int) -> None:
+    def _fault(self, recover, x: int) -> None:
         # Some buffer would empty: one recovery query rebuilds everything,
         # so per-function removals are skipped (the rebuild covers them).
         recovered = _recover(recover, x)
         if recovered.size:
             self.fault_count += 1
         self.recovery_elements_streamed += int(recovered.size)
-        self._rebuild(recovered)
+        self._set_empty()
+        self._merge(recovered)
 
     def signature(self) -> Signature:
         """The k-MinHash signature of the tracked set, in O(k) time."""

@@ -3,7 +3,8 @@
 Elements are 0-based unsigned values in [0, 2^32). All hash functions map
 such 32-bit keys to 32-bit values and are fully determined by their seed, so
 every experiment is bit-reproducible from a single master seed. Every
-element that enters a sketch passes ``as_element`` or ``as_element_set``.
+element that enters a sketch passes ``as_element`` or ``as_element_set``,
+and ``keys_many`` and ``min_hashes`` check theirs the same way.
 """
 
 from __future__ import annotations
@@ -17,11 +18,9 @@ MAX_UNIVERSE = 1 << 32
 
 _U64 = (1 << 64) - 1
 
-#: Keys per gather block in ``HashFamily.keys_many`` (512 KiB of uint32).
+#: Keys per gather block in ``HashFamily.keys_many`` (512 KiB of uint32)
+#: and per block of ``HashFamily.min_hashes`` (1 MiB of uint64).
 _GATHER_KEYS = 1 << 17
-
-#: Bytes of keys per chunk in ``HashFamily.min_hashes`` (128 MiB).
-_MIN_CHUNK_BYTES = 1 << 27
 
 # splitmix64 constants, used to derive independent per-function subseeds from
 # one master seed (counter-based, so function i is reproducible in isolation).
@@ -41,15 +40,9 @@ def as_element(x) -> int:
     return x
 
 
-def as_element_set(elements) -> np.ndarray:
-    """The elements as a sorted, duplicate-free uint64 array.
-
-    ``elements`` is an integer-dtype array or an iterable of integers, each
-    in [0, 2^32). Empty input of any dtype is the empty set. Raises
-    TypeError for float, str, bool or object values and ValueError for an
-    integer outside the universe. The range test reads only the two ends of
-    the sorted array, so it adds no pass over the elements.
-    """
+def _as_elements(elements) -> np.ndarray:
+    """``elements`` in order, repeats kept, as a contiguous uint64 array;
+    checked as ``as_element_set`` documents, by one min/max pass."""
     xs = elements if isinstance(elements, np.ndarray) else np.asarray(list(elements))
     if xs.size == 0:
         return np.empty(0, dtype=np.uint64)
@@ -58,12 +51,24 @@ def as_element_set(elements) -> np.ndarray:
         if xs.dtype == object and all(type(v) is int for v in xs.flat):
             raise ValueError("element outside 32-bit universe")
         raise TypeError(f"elements must be integers, got {xs.dtype} values")
-    # Sort, then drop repeats: the result of np.unique, which measured 5-18x
-    # slower for 300 to 32768 elements (numpy 2.4, 2-vCPU host).
-    xs = np.sort(xs, axis=None)
-    if xs[0] < 0 or xs[-1] >= MAX_UNIVERSE:
-        raise ValueError(f"elements {xs[0]}..{xs[-1]} reach outside the 32-bit universe")
-    return xs[np.concatenate(([True], xs[1:] != xs[:-1]))].astype(np.uint64, copy=False)
+    lo, hi = xs.min(), xs.max()
+    if lo < 0 or hi >= MAX_UNIVERSE:
+        raise ValueError(f"elements {lo}..{hi} reach outside the 32-bit universe")
+    return np.ascontiguousarray(xs, dtype=np.uint64)
+
+
+def as_element_set(elements) -> np.ndarray:
+    """The elements as a sorted, duplicate-free uint64 array.
+
+    ``elements`` is an integer-dtype array or an iterable of integers, each
+    in [0, 2^32). Empty input of any dtype is the empty set. Raises
+    TypeError for float, str, bool or object values and ValueError for an
+    integer outside the universe. Sorting, then dropping repeats, gives the
+    result of np.unique, which measured 5-18x slower for 300 to 32768
+    elements (numpy 2.4, 2-vCPU host).
+    """
+    xs = np.sort(_as_elements(elements), axis=None)
+    return np.concatenate((xs[:1], xs[1:][xs[1:] != xs[:-1]]))
 
 
 def _splitmix64(z: int) -> int:
@@ -204,8 +209,9 @@ class HashFamily:
         contiguous along the elements, the axis that per-function
         selections (partition, sort, min) run on. Hashes are gathered in
         blocks of at most 2^17 keys, each written transposed while in cache.
+        Elements are checked as ``as_element_set`` checks them.
         """
-        xs = np.ascontiguousarray(xs, dtype=np.uint64)
+        xs = _as_elements(xs)
         out = np.empty((self.k, xs.size), dtype=np.uint64)
         step = max(1, _GATHER_KEYS // self.k)
         for start in range(0, xs.size, step):
@@ -225,17 +231,15 @@ class HashFamily:
         """Per-function minimum of (hash, element) keys over ``elements``.
 
         Returns the k minima as uint64 keys (hash in the high 32 bits).
-        Processes elements in chunks so memory stays bounded for large k;
+        Elements are checked as ``as_element_set`` checks them and hashed
+        one gather block at a time, so memory stays bounded for any input;
         empty input returns an all-sentinel vector.
         """
-        xs = np.ascontiguousarray(elements, dtype=np.uint64)
+        xs = _as_elements(elements)
         best = np.full(self.k, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-        if xs.size == 0:
-            return best
-        step = max(1, _MIN_CHUNK_BYTES // (8 * self.k))
+        step = max(1, _GATHER_KEYS // self.k)
         for start in range(0, xs.size, step):
-            keys = self.keys_many(xs[start:start + step])
-            np.minimum(best, keys.min(axis=0), out=best)
+            np.minimum(best, self.keys_many(xs[start:start + step]).T.min(axis=1), out=best)
         return best
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 from bisect import insort
 
 import numpy as np
@@ -86,6 +87,43 @@ class TestInit:
             xs = np.concatenate([xs, xs[: n // 2]])
         data = BufferedSketch.init(xs, new_family(k, k + n), ell).to_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_stream_digest_is_fixed(self):
+        """SHA-256 of to_bytes after every 97 ops, plus the fault counts, of
+        a stream through every bulk path: a first insert run longer than
+        _PENDING_CAP, a first fault that recovers more than _PENDING_CAP
+        elements, merged insert bursts, and per-op inserts among deletes
+        (oldest element first) between reads."""
+        rng = np.random.default_rng(97)
+        fresh = iter(rng.choice(1 << 32, size=20000, replace=False).tolist())
+        sketch = BufferedSketch(new_family(64, 97), 3)
+        members, order, recovered = set(), [], []
+
+        def recover():
+            recovered.append(len(members))
+            return list(members)
+
+        def insert():
+            x = next(fresh)
+            members.add(x)
+            order.append(x)
+            sketch.insert(x)
+
+        for _ in range(6000):
+            insert()
+        h, head = hashlib.sha256(), 0
+        for j in range(100):
+            for _ in range(97):
+                if j % 8 == 3 or not members or rng.random() < 0.15:
+                    insert()
+                else:
+                    x, head = order[head], head + 1
+                    members.remove(x)
+                    sketch.delete(x, recover)
+            h.update(sketch.to_bytes())
+        h.update(struct.pack("<QQ", sketch.fault_count, sketch.recovery_elements_streamed))
+        assert 6000 > core._PENDING_CAP and recovered[0] > core._PENDING_CAP
+        assert h.hexdigest() == "6328fefdb997ef193d669707ecab27177f2bf1eab4ba0dfc04ac2b085dd48622"
 
 
 class TestInsert:
@@ -217,16 +255,18 @@ class TestTopKeyElement:
     def test_merged_run_matches_init(self, monkeypatch, compiled):
         # A run long enough to be merged; at these ells function 0's row
         # ends with the TOP key dropped, last in a full row, or in a row
-        # that stays short, where the size must count it.
+        # that stays short, where the size must count it, also when the
+        # key was buffered before a run without 2^32 - 1.
         monkeypatch.setattr(_kernels, "ENABLED", compiled)
         fam = _top_key_family()
         run = list(range(10, 10 + core._MERGE_MIN)) + [self.X]
         for ell in (len(run) - 1, len(run), len(run) + 2, len(run) + 3):
             for members in ([], [1, 2], [1, self.X]):
-                sk = BufferedSketch.init(members, fam, ell)
-                for x in run:
-                    sk.insert(x)
-                assert state_equal(sk, BufferedSketch.init(members + run, fam, ell))
+                for queued in (run, run[:-1]):
+                    sk = BufferedSketch.init(members, fam, ell)
+                    for x in queued:
+                        sk.insert(x)
+                    assert state_equal(sk, BufferedSketch.init(members + queued, fam, ell))
 
     def test_phantom_delete_is_noop(self, monkeypatch, compiled):
         monkeypatch.setattr(_kernels, "ENABLED", compiled)
@@ -242,6 +282,69 @@ class TestTopKeyElement:
         sk.delete(self.X, lambda: [1, 2])
         assert sk.signature() == BufferedSketch.init([1, 2], fam, 3).signature()
         assert sk.check_invariants([1, 2]).ok
+
+
+_BLOCK_ELL = 4
+_DEFAULT_CAP = core._PENDING_CAP
+
+
+def _bulk_states(monkeypatch, cap, family):
+    """Checkpoints of every bulk path with core._PENDING_CAP = cap.
+
+    ``init`` of a set of three, where function 0's row under the crafted
+    family keeps the TOP key; ``init`` of 41 elements, then deletes of the
+    elements buffered in row 0, the last of which faults at the latest; and
+    a run of inserts queued at the default cap and flushed by a read at
+    ``cap``, so that the flush may be longer than the cap. Element
+    2^32 - 1 is in the last block of every bulk path.
+    """
+    top = 2**32 - 1
+    monkeypatch.setattr(core, "_PENDING_CAP", cap)
+    states = [BufferedSketch.init([1, 2, top], family, _BLOCK_ELL).to_bytes()]
+    members = list(range(100, 140)) + [top]
+    sketch = BufferedSketch.init(members, family, _BLOCK_ELL)
+    states.append(sketch.to_bytes())
+    left = set(members)
+    for x in [e for _, e in buffer_contents(sketch, 0)]:
+        left.discard(x)
+        sketch.delete(x, lambda: list(left))
+        states.append((sketch.to_bytes(), sketch.fault_count, sketch.recovery_elements_streamed))
+    assert sketch.fault_count >= 1
+    monkeypatch.setattr(core, "_PENDING_CAP", _DEFAULT_CAP)
+    sketch = BufferedSketch.init(members[:-1], family, _BLOCK_ELL)
+    run = list(range(200, 200 + core._MERGE_MIN)) + [top]
+    for x in run:
+        sketch.insert(x)
+    assert len(sketch._pending) == len(run)
+    monkeypatch.setattr(core, "_PENDING_CAP", cap)
+    states.append(sketch.to_bytes())
+    return states
+
+
+@pytest.mark.parametrize("cap", [1, _BLOCK_ELL - 1, _BLOCK_ELL, _BLOCK_ELL + 1, 7])
+@pytest.mark.parametrize("family", ["random", "top_key"])
+def test_bulk_paths_match_across_block_sizes(monkeypatch, family, cap):
+    """init, a fault's rebuild and a long flush leave the same bits whatever
+    block size _merge hashes in."""
+    fam = new_family(16, 5) if family == "random" else _top_key_family()
+    want = _bulk_states(monkeypatch, _DEFAULT_CAP, fam)
+    assert _bulk_states(monkeypatch, cap, fam) == want
+
+
+def test_bulk_paths_hold_bounded_memory():
+    """Traced peak of init and min_hashes over 2^16 elements at k=256: the
+    keys are hashed in blocks, not all at once (128 MiB)."""
+    fam = new_family(256, 1)
+    fam.key_one(0)  # builds the byte tables outside the traced region
+    xs = np.random.default_rng(16).choice(1 << 32, size=1 << 16, replace=False).astype(np.uint64)
+    for run, limit in ((lambda: BufferedSketch.init(xs, fam, 32), 32), (lambda: fam.min_hashes(xs), 16)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * 2**20
 
 
 class TestSignature:

@@ -4,7 +4,8 @@ An element is a Python int (or integer-dtype array of them) in [0, 2^32).
 A float, str or other non-integer raises TypeError, an integer outside the
 universe raises ValueError, and a rejected input leaves the sketch as it was.
 A recovery result is checked the same way, and a bad one raises
-RecoveryError before any counter moves.
+RecoveryError before any counter moves. ``HashFamily.keys_many`` and
+``min_hashes`` check their elements the same way too.
 """
 
 import numpy as np
@@ -93,6 +94,14 @@ def test_init_rejects(init_name, bad_name):
 
 
 @pytest.mark.parametrize("bad_name", BAD)
+@pytest.mark.parametrize("method", ["keys_many", "min_hashes"])
+def test_hash_evaluation_rejects(method, bad_name):
+    bad, _, error = BAD[bad_name]
+    with pytest.raises(error):
+        getattr(FAMILY, method)(_as_set(bad))
+
+
+@pytest.mark.parametrize("bad_name", BAD)
 @pytest.mark.parametrize("make", [_buffered, _vanilla], ids=["buffered", "vanilla"])
 def test_recovery_result_rejected_before_any_counter_moves(make, bad_name):
     bad, _, cause = BAD[bad_name]
@@ -124,3 +133,10 @@ def test_found_reproductions():
             sketch.delete(7, lambda: [1 << 40])
         assert (sketch.fault_count, sketch.recovery_elements_streamed) == (0, 0)
         assert type(sketch).from_bytes(sketch.to_bytes(), FAMILY).to_bytes() == sketch.to_bytes()
+    family = new_family(2, 1)
+    with pytest.raises(TypeError):
+        family.keys_many([1.7])  # once hashed as element 1
+    with pytest.raises(ValueError):
+        family.min_hashes([1 << 40])  # once keys whose low 32 bits were 0
+    with pytest.raises(ValueError):
+        family.min_hashes(np.array([-1]))  # once the empty set's all-TOP vector

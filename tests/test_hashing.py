@@ -102,7 +102,7 @@ def test_keys_many_matches_nibble_tables_across_gather_blocks(k):
 
 @pytest.mark.parametrize("k,n", [(1, 5), (7, 1000), (256, 300), (256, 513)])
 def test_keys_many_is_stored_function_major(k, n):
-    # The rebuild partitions keys_many(xs).T along its rows, in place.
+    # BufferedSketch._merge partitions keys_many(xs).T along its rows, in place.
     # Element-major storage gives the same values but strides every
     # selection, so no value test would notice it.
     xs = np.arange(n, dtype=np.uint64)
@@ -151,8 +151,8 @@ def test_min_hashes_matches_direct_min(monkeypatch):
     keys = fam.keys_many(xs)
     direct = keys.min(axis=0)
     assert np.array_equal(fam.min_hashes(xs), direct)
-    # chunking must not change the result
-    monkeypatch.setattr(hashing, "_MIN_CHUNK_BYTES", 1024)
+    # blocks of 7 elements must not change the result
+    monkeypatch.setattr(hashing, "_GATHER_KEYS", 7 * fam.k)
     assert np.array_equal(fam.min_hashes(xs), direct)
 
 
