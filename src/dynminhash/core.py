@@ -72,6 +72,14 @@ def _gate_of(delta: np.ndarray) -> int:
     return int.from_bytes(lanes.astype("<u2").tobytes(), "little")
 
 
+def _table_offsets(x: int, k: int) -> tuple:
+    """Where x's four bytes select their entries in the flat ``hashes``
+    view of ``HashFamily._stream_tables``: function i's key of x is
+    (XOR of the four entries at offset + i) << 32 | x."""
+    return ((x & 255) * k, (256 + ((x >> 8) & 255)) * k,
+            (512 + ((x >> 16) & 255)) * k, (768 + (x >> 24)) * k)
+
+
 def _recover(recover, x: int) -> np.ndarray:
     """The elements ``recover()`` returns after x's delete faulted, checked
     by ``as_element_set``.
@@ -150,7 +158,7 @@ class BufferedSketch:
 
     __slots__ = (
         "family", "ell", "_buf", "_size", "_delta",
-        "_bufv", "_sizev", "_deltav", "_gate", "_pending",
+        "_bufv", "_sizev", "_deltav", "_gate", "_pending", "_where",
         "fault_count", "recovery_elements_streamed",
     )
 
@@ -177,6 +185,7 @@ class BufferedSketch:
         self._deltav = memoryview(self._delta).cast("B").cast("Q")
         self._gate = _gate_of(self._delta)
         self._pending = []
+        self._where = None
 
     @classmethod
     def init(cls, elements, family: HashFamily, ell: int) -> "BufferedSketch":
@@ -195,6 +204,21 @@ class BufferedSketch:
 
     # -- stream operations -------------------------------------------------
 
+    def _element_index(self) -> dict:
+        """Each buffered element -> the rows that hold it, in row order.
+
+        ``delete`` reads this index (``_where``) instead of testing all k
+        thresholds. It holds at most k * ell row entries and is built at the
+        first delete after ``_set_empty`` or ``_merge``, which drop it, so
+        ``init`` and bulk inserts never pay for it; the numpy-free per-op
+        insert keeps it exact, and the compiled kernels drop it.
+        """
+        in_size = np.arange(self.ell)[None, :] < self._size[:, None]
+        where = {}
+        for i, x in zip(in_size.nonzero()[0].tolist(), (self._buf[in_size] & _LOW).tolist()):
+            where.setdefault(x, []).append(i)
+        return where
+
     def _candidates(self, x: int):
         """(i, key) for each function i whose threshold may admit x, with key
         x's exact pair key under function i.
@@ -212,8 +236,7 @@ class BufferedSketch:
         if not cand:
             return ()
         k = self.family.k
-        b0, b1 = (x & 255) * k, (256 + ((x >> 8) & 255)) * k
-        b2, b3 = (512 + ((x >> 16) & 255)) * k, (768 + (x >> 24)) * k
+        b0, b1, b2, b3 = _table_offsets(x, k)
         # A passing lane is byte 0x80 at offset 2i + 1 of cand's bytes and
         # every other byte is 0, so find() walks the lanes at C speed.
         flags = cand.to_bytes(2 * k, "little")
@@ -263,6 +286,7 @@ class BufferedSketch:
         hashed _PENDING_CAP at a time, and only a block's ell smallest keys
         per row can enter the row.
         """
+        self._where = None
         ell, size, delta = self.ell, self._size, self._delta
         for start in range(0, xs.size, _PENDING_CAP):
             keys = self.family.keys_many(xs[start:start + _PENDING_CAP]).T  # (k, block)
@@ -294,14 +318,22 @@ class BufferedSketch:
             del keys, rows  # freed before the next block is hashed
 
     def _insert_one(self, x: int) -> None:
-        """Insert x (checked) now: the per-op path."""
+        """Insert x (checked) now: the per-op path.
+
+        The rows that may admit x come from the threshold gate
+        (``_candidates``). The element index, when built, stays exact: x
+        gains the rows that admit it, and an element whose key drops out of
+        a full row loses that row. The compiled kernel drops the index.
+        """
         if _kernels.ENABLED:
+            self._where = None
             if _kernels.insert_op(self.family._byte_tables(), np.uint64(x),
                                   self._buf, self._size, self._delta, self.ell):
                 self._gate = _gate_of(self._delta)
             return
         ell = self.ell
         buf, size, delta = self._bufv, self._sizev, self._deltav
+        where, added = self._where, []
         gate = None  # the gate's lane bytes, once some threshold moves
         for i, key in self._candidates(x):
             if key > delta[i]:
@@ -315,8 +347,16 @@ class BufferedSketch:
                 size[i] = s + 1
             else:
                 s = ell - 1  # full: the last key drops out
+                if where is not None:
+                    y = buf[lo + s] & 0xFFFFFFFF
+                    rows = where[y]
+                    if len(rows) == 1:
+                        del where[y]
+                    else:
+                        rows.remove(i)
             buf[pos + 1:lo + s + 1] = buf[pos:lo + s]
             buf[pos] = key
+            added.append(i)
             if s + 1 == ell:  # full after the insert: its last key is the threshold
                 last = buf[lo + s]
                 delta[i] = last
@@ -327,6 +367,13 @@ class BufferedSketch:
                 gate[2 * i + 1] = lane >> 8
         if gate is not None:
             self._gate = int.from_bytes(gate, "little")
+        if added and where is not None:
+            rows = where.get(x)
+            if rows is None:
+                where[x] = added
+            else:  # x is buffered already: only in a loaded state no stream reaches
+                rows += added
+                rows.sort()
 
     def delete(self, x: int, recover) -> None:
         """Remove element x; rebuild via ``recover`` if a buffer would empty.
@@ -339,6 +386,11 @@ class BufferedSketch:
         pre-delete state and counters, as it does when the returned set
         still holds x (a stale store). Deleting an absent element is a
         no-op.
+
+        Without the compiled kernels, the rows that hold x come from the
+        element index (``_element_index``): an element no row buffers, the
+        common case, costs one dict lookup, and a buffered one a key and a
+        binary search per row that holds it.
         """
         x = index(x)  # hashing.as_element, inlined as in insert
         if not 0 <= x < MAX_UNIVERSE:
@@ -348,27 +400,35 @@ class BufferedSketch:
         if not self._sizev[0]:
             return  # empty set: nothing buffered anywhere
         if _kernels.ENABLED:
+            self._where = None
             fault = _kernels.delete_op(self.family._byte_tables(), np.uint64(x),
                                        self._buf, self._size, self._delta)
             if fault:
                 self._fault(recover, x)
             return
+        where = self._where
+        if where is None:
+            where = self._where = self._element_index()
+        rows = where.get(x)
+        if rows is None:
+            return  # no row holds x
         ell = self.ell
         buf, size = self._bufv, self._sizev
-        hits = []
-        for i, key in self._candidates(x):
+        for i in rows:
+            if size[i] == 1:
+                self._fault(recover, x)
+                return
+        del where[x]
+        pk, k = self.family._stream_tables()[1], self.family.k
+        b0, b1, b2, b3 = _table_offsets(x, k)
+        for i in rows:
+            key = (pk[b0 + i] ^ pk[b1 + i] ^ pk[b2 + i] ^ pk[b3 + i]) << 32 | x
             lo = i * ell
             end = lo + size[i]
             pos = bisect_left(buf, key, lo, end)
-            if pos < end and buf[pos] == key:
-                if end - lo == 1:
-                    self._fault(recover, x)
-                    return
-                hits.append((i, pos, end))
-        for i, pos, end in hits:
             buf[pos:end - 1] = buf[pos + 1:end]
             buf[end - 1] = _TOP_INT
-            size[i] -= 1
+            size[i] = end - lo - 1
 
     def _fault(self, recover, x: int) -> None:
         # Some buffer would empty: one recovery query rebuilds everything,
@@ -404,8 +464,9 @@ class BufferedSketch:
         Sizes within [0, ell], TOP past each size, strictly sorted rows,
         stored hashes that match their elements, stored keys at or below the
         threshold, a full row's threshold equal to its last key, rows all
-        empty (with TOP thresholds) or none empty, and the threshold gate
-        equal to the one the thresholds imply.
+        empty (with TOP thresholds) or none empty, the threshold gate
+        equal to the one the thresholds imply, and the element index, when
+        built, equal to the one the buffers imply.
         """
         self._flush()
         bad = []
@@ -435,6 +496,8 @@ class BufferedSketch:
                 bad.append("(iii) every buffer is empty but some threshold is not TOP")
         if self._gate != _gate_of(delta):
             bad.append("(internal) the threshold gate differs from the thresholds")
+        if self._where is not None and self._where != self._element_index():
+            bad.append("(internal) the element index differs from the buffers")
         return bad
 
     def check_invariants(self, authoritative) -> InvariantReport:
@@ -445,7 +508,8 @@ class BufferedSketch:
         equivalent to the pair being at or below the threshold; buffer sizes
         never exceed ell; buffers are empty exactly when the set is; and each
         buffer holds exactly its size's worth of smallest pairs. O(|A| * k),
-        fully vectorised so it can run after every op of long streams.
+        fully vectorised so it can run after every op of long streams; the
+        set is hashed _PENDING_CAP elements at a time, as ``_merge`` hashes.
         """
         bad = self._structure_faults()
         xs = as_element_set(authoritative)
@@ -461,8 +525,9 @@ class BufferedSketch:
         if (in_size & ~np.isin(buf & _LOW, xs)).any():
             bad.append("(i) some buffer stores an element outside the tracked set")
         # Exactly the set pairs at or below the threshold are buffered.
-        keys = self.family.keys_many(xs)  # (n, k)
-        below = (keys <= delta[None, :]).sum(axis=0)
+        below = np.zeros(self.family.k, dtype=np.int64)
+        for start in range(0, xs.size, _PENDING_CAP):
+            below += (self.family.keys_many(xs[start:start + _PENDING_CAP]) <= delta).sum(axis=0)
         if (below != sizes).any():
             worst = int(np.flatnonzero(below != sizes)[0])
             bad.append(

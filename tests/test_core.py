@@ -125,6 +125,46 @@ class TestInit:
         assert 6000 > core._PENDING_CAP and recovered[0] > core._PENDING_CAP
         assert h.hexdigest() == "6328fefdb997ef193d669707ecab27177f2bf1eab4ba0dfc04ac2b085dd48622"
 
+    def test_interleaved_digest_is_fixed(self):
+        """SHA-256 of to_bytes after every 97 ops, plus the fault counts, of
+        a stream of one insert then one delete, so every insert takes the
+        per-op path, often into full rows that evict their last key. Some
+        inserts repeat a member, some deletes are phantom, and some delete
+        the head of a row, which drains rows until they fault."""
+        k, ell = 8, 4
+        rng = np.random.default_rng(89)
+        fam = new_family(k, 89)
+        pool = rng.choice(1 << 32, size=400, replace=False).tolist()
+        keys = dict(zip(pool, fam.keys_many(pool).tolist()))
+        sketch = BufferedSketch(fam, ell)
+        members = set(pool[:30])
+        for x in members:
+            sketch.insert(x)
+        h, evictions = hashlib.sha256(), 0
+        for op in range(2 * 1600):
+            if op % 2 == 0:
+                x = pool[rng.integers(len(pool))]
+                evictions += x not in members and any(
+                    key < d for key, d in zip(keys[x], sketch._delta.tolist()))
+                members.add(x)
+                sketch.insert(x)
+            else:
+                r = rng.random()
+                if r < 0.1:
+                    x = pool[rng.integers(len(pool))]  # mostly phantom
+                elif r < 0.45:
+                    i = op // 2 % k
+                    x = min(members, key=lambda e: keys[e][i])
+                else:
+                    x = sorted(members)[rng.integers(len(members))]
+                members.discard(x)
+                sketch.delete(x, lambda: list(members))
+            if op % 97 == 96:
+                h.update(sketch.to_bytes())
+        h.update(struct.pack("<QQ", sketch.fault_count, sketch.recovery_elements_streamed))
+        assert evictions > 500 and sketch.fault_count > 20, (evictions, sketch.fault_count)
+        assert h.hexdigest() == "e8245494edabd601dd55a8d1407ad02a3d3dcde8f8547b0685bb3d5f8891d70b"
+
 
 class TestInsert:
     def test_into_empty_keeps_threshold_top(self, id_family):
@@ -284,6 +324,168 @@ class TestTopKeyElement:
         assert sk.check_invariants([1, 2]).ok
 
 
+def _index_ops(seed, keys, n_ops):
+    """(ops, initial members) for the element-index tests, from ``keys``
+    (element -> its k pair keys, the elements a pool in draw order).
+
+    Ops are ("insert", x), ("delete", x) and ("stale", x), a delete whose
+    recovery returns a set that still holds x. Most inserts are runs of
+    one, applied per op at the next delete; some repeat a member. Some
+    deletes are phantom and some take the head of a row, which drains rows
+    until they fault. A few runs long enough to be merged are followed at
+    once by a delete."""
+    rng = np.random.default_rng(seed)
+    pool = list(keys)
+    fresh = iter(pool[40:])
+    members = pool[:40]
+    initial, ops, k = list(members), [], len(keys[pool[0]])
+
+    def victim(r):
+        if r < 0.1:
+            return pool[rng.integers(len(pool))]  # mostly phantom
+        if r < 0.45:
+            i = int(rng.integers(k))
+            return min(members, key=lambda e: keys[e][i])
+        return members[rng.integers(len(members))]
+
+    for _ in range(n_ops):
+        r = rng.random()
+        if r < 0.02:
+            run = [next(fresh) for _ in range(core._MERGE_MIN + 6)]
+            ops += [("insert", x) for x in run]
+            members += run
+        elif not members or r < (0.45 if len(members) < 60 else 0.2):
+            if members and rng.random() < 0.2:
+                x = members[rng.integers(len(members))]
+            else:
+                x = next(fresh)
+                members.append(x)
+            ops.append(("insert", x))
+            continue
+        stale = r > 0.95  # a row's head, which faults when it is alone
+        x = victim(0.3 if stale else rng.random())
+        ops.append(("stale" if stale else "delete", x))
+        members = [e for e in members if e != x]
+    return ops, initial
+
+
+def _replay_paths(monkeypatch, fam, ell, initial, ops, switch_every=0):
+    """Replay ``ops`` from ``init(initial)`` on the fallback and on the
+    kernel path, which never builds the element index; assert equal
+    checkpoints and fault counts after every delete, and
+    ``_structure_faults`` (which compares a built index with the buffers).
+    With ``switch_every``, the fallback replay hands that many ops at a
+    time to the kernels, and both replays read the state before each
+    switch, so that pending inserts are applied by the path that queued
+    them. Returns the fallback's counts of the cases the index must
+    handle."""
+    events = dict.fromkeys((
+        "indexed_insert", "eviction", "delete_evicted", "delete_admitted", "duplicate_buffered",
+        "phantom", "fault", "delete_after_merge", "delete_after_fault", "stale"), 0)
+    evicted, admitted = set(), set()
+    insert_one = BufferedSketch._insert_one
+
+    def observed_insert_one(sketch, x):
+        where = sketch._where
+        if where is None:
+            return insert_one(sketch, x)
+        before = {y: len(rows) for y, rows in where.items()}
+        events["duplicate_buffered"] += x in before
+        insert_one(sketch, x)
+        lost = {y for y, n in before.items() if len(where.get(y, ())) < n}
+        events["indexed_insert"] += 1
+        events["eviction"] += bool(lost)
+        evicted.update(lost)
+        if x in where:
+            admitted.add(x)
+
+    def replay(kernels_at):
+        monkeypatch.setattr(_kernels, "ENABLED", kernels_at(0))
+        sketch = BufferedSketch.init(initial, fam, ell)
+        members, snaps, faults, faulted = set(initial), [], 0, False
+        for j, (op, x) in enumerate(ops):
+            if switch_every and j % switch_every == 0:
+                sketch.to_bytes()
+            compiled = kernels_at(j)
+            monkeypatch.setattr(_kernels, "ENABLED", compiled)
+            if op == "insert":
+                members.add(x)
+                sketch.insert(x)
+                continue
+            if not compiled:
+                events["phantom"] += x not in members
+                events["delete_evicted"] += x in members and x in evicted
+                events["delete_admitted"] += x in members and x in admitted
+                events["delete_after_merge"] += len(sketch._pending) >= core._MERGE_MIN
+                events["delete_after_fault"] += faulted
+            members.discard(x)
+            recovered = members | {x} if op == "stale" else members
+            try:
+                sketch.delete(x, lambda: list(recovered))
+            except RecoveryError:
+                assert op == "stale"
+                events["stale"] += not compiled
+                members.add(x)  # the sketch kept its pre-delete state
+            faulted = sketch.fault_count > faults
+            faults = sketch.fault_count
+            events["fault"] += faulted and not compiled
+            assert sketch._where is None or not compiled
+            assert sketch._structure_faults() == []
+            snaps.append((sketch.to_bytes(), sketch.fault_count, sketch.recovery_elements_streamed))
+        return snaps
+
+    want = replay(lambda j: True)
+    monkeypatch.setattr(BufferedSketch, "_insert_one", observed_insert_one)
+    got = replay(lambda j: switch_every > 0 and j // switch_every % 2 == 1)
+    assert len(got) == len(want)
+    for j, (a, b) in enumerate(zip(got, want)):
+        assert a == b, f"state differs after delete {j}"
+    return events
+
+
+class TestElementIndex:
+    @pytest.mark.parametrize("k,ell,seed", [(4, 3, 1), (6, 1, 2), (16, 4, 3)])
+    def test_stream_ops_match_kernel_path(self, monkeypatch, k, ell, seed):
+        """Per-op inserts that evict from full rows while the index is
+        built, then deletes of evicted and admitted elements, re-inserts of
+        buffered elements, phantom deletes, deletes right after a merge and
+        after a fault, and stale recoveries followed by more ops."""
+        fam = new_family(k, seed)
+        pool = np.random.default_rng(seed).choice(1 << 32, size=6000, replace=False).tolist()
+        ops, initial = _index_ops(seed, dict(zip(pool, fam.keys_many(pool).tolist())), 1500)
+        events = _replay_paths(monkeypatch, fam, ell, initial, ops)
+        assert min(events.values()) > 0, events
+
+    def test_switching_paths_drops_the_index(self, monkeypatch):
+        """A sketch whose ops alternate between the fallback and the kernels
+        ends each fallback stretch with an exact index: the kernels drop it
+        rather than leave it stale."""
+        fam = new_family(4, 9)
+        pool = np.random.default_rng(9).choice(1 << 32, size=3000, replace=False).tolist()
+        ops, initial = _index_ops(9, dict(zip(pool, fam.keys_many(pool).tolist())), 600)
+        events = _replay_paths(monkeypatch, fam, 3, initial, ops, switch_every=40)
+        assert events["indexed_insert"] and events["delete_admitted"], events
+
+    def test_top_key_element_matches_kernel_path(self, monkeypatch):
+        """Element 2^32 - 1, whose key under function 0 of the crafted
+        family is TOP: buffered in a row while the index is built, pushed
+        out of that row when it fills, deleted, re-inserted, deleted as a
+        phantom and in a stale recovery; then a longer stream where every
+        ninth op names it."""
+        fam = _top_key_family()
+        top = TestTopKeyElement.X
+        ops = [("delete", 7), ("insert", top), ("delete", 8), ("insert", 3), ("delete", top),
+               ("insert", top), ("delete", 1), ("delete", 2), ("delete", top), ("delete", top),
+               ("insert", top), ("insert", 4), ("delete", 3), ("insert", 5), ("delete", top),
+               ("insert", top), ("delete", 4), ("delete", 5), ("stale", top), ("delete", top)]
+        events = _replay_paths(monkeypatch, fam, 3, [1, 2], ops)
+        assert min(events[e] for e in ("eviction", "delete_evicted", "delete_admitted",
+                                       "phantom", "fault", "stale")) > 0, events
+        pool = [top] + list(range(10, 6000))
+        ops, initial = _index_ops(5, dict(zip(pool, fam.keys_many(pool).tolist())), 700)
+        ops = [(op, top if i % 9 == 4 else x) for i, (op, x) in enumerate(ops)]
+        _replay_paths(monkeypatch, fam, 3, initial, ops)
+
 _BLOCK_ELL = 4
 _DEFAULT_CAP = core._PENDING_CAP
 
@@ -332,12 +534,15 @@ def test_bulk_paths_match_across_block_sizes(monkeypatch, family, cap):
 
 
 def test_bulk_paths_hold_bounded_memory():
-    """Traced peak of init and min_hashes over 2^16 elements at k=256: the
-    keys are hashed in blocks, not all at once (128 MiB)."""
+    """Traced peak of init, min_hashes and check_invariants over 2^16
+    elements at k=256: the keys are hashed in blocks, not all at once
+    (128 MiB)."""
     fam = new_family(256, 1)
     fam.key_one(0)  # builds the byte tables outside the traced region
     xs = np.random.default_rng(16).choice(1 << 32, size=1 << 16, replace=False).astype(np.uint64)
-    for run, limit in ((lambda: BufferedSketch.init(xs, fam, 32), 32), (lambda: fam.min_hashes(xs), 16)):
+    sketch = BufferedSketch.init(xs, fam, 32)
+    for run, limit in ((lambda: BufferedSketch.init(xs, fam, 32), 32), (lambda: fam.min_hashes(xs), 16),
+                       (lambda: sketch.check_invariants(xs), 32)):
         tracemalloc.start()
         try:
             run()
@@ -401,6 +606,16 @@ class TestCheckInvariants:
         sk._gate += 1 << 16  # lane 1 admits one more top-bits value
         report = sk.check_invariants(range(50))
         assert any("(internal)" in v and "gate" in v for v in report.violations)
+
+    def test_detects_stale_element_index(self):
+        fam = new_family(3, 31)
+        sk = BufferedSketch.init(range(50), fam, 4)
+        sk.delete(1000, lambda: range(50))  # phantom: builds the index
+        assert sk._where is not None and sk.check_invariants(range(50)).ok
+        x = next(iter(sk._where))
+        sk._where[x] = sk._where[x][:-1] or [2]  # drops or invents a row
+        report = sk.check_invariants(range(50))
+        assert any("(internal)" in v and "index" in v for v in report.violations)
 
 
 def _rows(sketch):
