@@ -19,7 +19,6 @@ import struct
 
 import numpy as np
 
-from . import _kernels
 from .core import _LOW, _SHIFT, TOP, Signature, _recover
 from .errors import EmptyRowError, EmptySetError, IllegalStreamError
 from .hashing import HashFamily, as_element, as_element_set, derive_seed, new_pairwise
@@ -47,9 +46,6 @@ class VanillaSketch:
 
     def insert(self, x: int) -> None:
         x = as_element(x)
-        if _kernels.ENABLED:
-            _kernels.vanilla_insert_op(self.family._byte_tables(), np.uint64(x), self._entries)
-            return
         np.minimum(self._entries, self.family.key_one(x), out=self._entries)
 
     def delete(self, x: int, recover) -> None:
@@ -61,10 +57,7 @@ class VanillaSketch:
         """
         x = as_element(x)
         entries = self._entries
-        if _kernels.ENABLED:
-            if not _kernels.vanilla_is_argmin(entries, np.uint64(x)):
-                return
-        elif not ((entries & _LOW) == np.uint64(x)).any():
+        if not ((entries & _LOW) == np.uint64(x)).any():
             return
         # All TOP is the empty sketch. Only x = 2^32-1 hits TOP's low bits,
         # so the test waits for a hit, where it tells empty from a genuine

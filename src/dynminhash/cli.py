@@ -68,6 +68,16 @@ def _int_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _float_list(text: str) -> list:
     try:
         return [float(part) for part in text.split(",") if part]
@@ -78,7 +88,8 @@ def _float_list(text: str) -> list:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    common.add_argument("--reps", type=int, default=20, help="timed repetitions (default 20)")
+    common.add_argument("--reps", type=_positive_int, default=20,
+                        help="timed repetitions, at least 1 (default 20)")
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     common.add_argument("--k", type=int, default=256, help="hash functions per signature")

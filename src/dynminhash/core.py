@@ -21,7 +21,6 @@ from operator import index
 
 import numpy as np
 
-from . import _kernels
 from .errors import EmptySetError, RecoveryError
 from .hashing import MAX_UNIVERSE, HashFamily, as_element_set
 
@@ -41,10 +40,10 @@ MAX_ELL = 1 << 16
 #: ``insert`` queues its element, and every read of the state first flushes
 #: the queue. A flush of fewer than _MERGE_MIN pending inserts runs the
 #: per-op insert on each; a longer one is merged in one vectorised pass
-#: (``BufferedSketch._merge``). Measured at k=256, ell=32 without numba on
-#: a 2-vCPU host: a merge costs 0.15-0.35 ms plus about 4 us per insert,
-#: while a per-op insert costs 0.3-0.8 ms into rows that are filling, about
-#: 40 us into a set of 1024 elements and 4-8 us into one of 2^14. The
+#: (``BufferedSketch._merge``). Measured at k=256, ell=32 on a 2-vCPU host:
+#: a merge costs 0.15-0.35 ms plus about 4 us per insert, while a per-op
+#: insert costs 0.3-0.8 ms into rows that are filling, about 40 us into a
+#: set of 1024 elements and 4-8 us into one of 2^14. The
 #: per-op path is faster for runs below 8 (at 1024 elements) to 128 (at
 #: 2^14); 64 sits between, and keeps runs of one, as in interleaved inserts
 #: and deletes, off the merge.
@@ -205,18 +204,23 @@ class BufferedSketch:
     # -- stream operations -------------------------------------------------
 
     def _element_index(self) -> dict:
-        """Each buffered element -> the rows that hold it, in row order.
+        """Each buffered element -> its row entries, in row order.
 
-        ``delete`` reads this index (``_where``) instead of testing all k
-        thresholds. It holds at most k * ell row entries and is built at the
-        first delete after ``_set_empty`` or ``_merge``, which drop it, so
-        ``init`` and bulk inserts never pay for it; the numpy-free per-op
-        insert keeps it exact, and the compiled kernels drop it.
+        An entry is the row's stored key with its low 32 bits (the element,
+        which the dict key holds) replaced by the row number, so ``delete``
+        reads both the row and x's key there: row ``e & 0xFFFFFFFF``, key
+        ``e ^ row | x``. ``delete`` reads this index (``_where``) instead of
+        testing all k thresholds. It holds at most k * ell entries and is
+        built at the first delete after ``_set_empty`` or ``_merge``, which
+        drop it, so ``init`` and bulk inserts never pay for it; the per-op
+        insert keeps it exact.
         """
         in_size = np.arange(self.ell)[None, :] < self._size[:, None]
+        held = self._buf[in_size]
+        rows = in_size.nonzero()[0].astype(np.uint64)
         where = {}
-        for i, x in zip(in_size.nonzero()[0].tolist(), (self._buf[in_size] & _LOW).tolist()):
-            where.setdefault(x, []).append(i)
+        for x, e in zip((held & _LOW).tolist(), ((held & ~_LOW) | rows).tolist()):
+            where.setdefault(x, []).append(e)
         return where
 
     def _candidates(self, x: int):
@@ -322,15 +326,9 @@ class BufferedSketch:
 
         The rows that may admit x come from the threshold gate
         (``_candidates``). The element index, when built, stays exact: x
-        gains the rows that admit it, and an element whose key drops out of
-        a full row loses that row. The compiled kernel drops the index.
+        gains an entry for each row that admits it, and an element whose key
+        drops out of a full row loses that row's entry.
         """
-        if _kernels.ENABLED:
-            self._where = None
-            if _kernels.insert_op(self.family._byte_tables(), np.uint64(x),
-                                  self._buf, self._size, self._delta, self.ell):
-                self._gate = _gate_of(self._delta)
-            return
         ell = self.ell
         buf, size, delta = self._bufv, self._sizev, self._deltav
         where, added = self._where, []
@@ -348,15 +346,16 @@ class BufferedSketch:
             else:
                 s = ell - 1  # full: the last key drops out
                 if where is not None:
-                    y = buf[lo + s] & 0xFFFFFFFF
-                    rows = where[y]
-                    if len(rows) == 1:
+                    last = buf[lo + s]
+                    y = last & 0xFFFFFFFF
+                    entries = where[y]
+                    if len(entries) == 1:
                         del where[y]
                     else:
-                        rows.remove(i)
+                        entries.remove(last ^ y | i)
             buf[pos + 1:lo + s + 1] = buf[pos:lo + s]
             buf[pos] = key
-            added.append(i)
+            added.append(key ^ x | i)
             if s + 1 == ell:  # full after the insert: its last key is the threshold
                 last = buf[lo + s]
                 delta[i] = last
@@ -368,12 +367,12 @@ class BufferedSketch:
         if gate is not None:
             self._gate = int.from_bytes(gate, "little")
         if added and where is not None:
-            rows = where.get(x)
-            if rows is None:
+            entries = where.get(x)
+            if entries is None:
                 where[x] = added
             else:  # x is buffered already: only in a loaded state no stream reaches
-                rows += added
-                rows.sort()
+                entries += added
+                entries.sort(key=lambda e: e & 0xFFFFFFFF)
 
     def delete(self, x: int, recover) -> None:
         """Remove element x; rebuild via ``recover`` if a buffer would empty.
@@ -387,10 +386,10 @@ class BufferedSketch:
         still holds x (a stale store). Deleting an absent element is a
         no-op.
 
-        Without the compiled kernels, the rows that hold x come from the
-        element index (``_element_index``): an element no row buffers, the
-        common case, costs one dict lookup, and a buffered one a key and a
-        binary search per row that holds it.
+        The rows that hold x, and x's key in each, come from the element
+        index (``_element_index``): an element no row buffers, the common
+        case, costs one dict lookup, and a buffered one a binary search per
+        row that holds it.
         """
         x = index(x)  # hashing.as_element, inlined as in insert
         if not 0 <= x < MAX_UNIVERSE:
@@ -399,30 +398,22 @@ class BufferedSketch:
             self._flush()
         if not self._sizev[0]:
             return  # empty set: nothing buffered anywhere
-        if _kernels.ENABLED:
-            self._where = None
-            fault = _kernels.delete_op(self.family._byte_tables(), np.uint64(x),
-                                       self._buf, self._size, self._delta)
-            if fault:
-                self._fault(recover, x)
-            return
         where = self._where
         if where is None:
             where = self._where = self._element_index()
-        rows = where.get(x)
-        if rows is None:
+        entries = where.get(x)
+        if entries is None:
             return  # no row holds x
         ell = self.ell
         buf, size = self._bufv, self._sizev
-        for i in rows:
-            if size[i] == 1:
+        for e in entries:
+            if size[e & 0xFFFFFFFF] == 1:
                 self._fault(recover, x)
                 return
         del where[x]
-        pk, k = self.family._stream_tables()[1], self.family.k
-        b0, b1, b2, b3 = _table_offsets(x, k)
-        for i in rows:
-            key = (pk[b0 + i] ^ pk[b1 + i] ^ pk[b2 + i] ^ pk[b3 + i]) << 32 | x
+        for e in entries:
+            i = e & 0xFFFFFFFF
+            key = e ^ i | x
             lo = i * ell
             end = lo + size[i]
             pos = bisect_left(buf, key, lo, end)

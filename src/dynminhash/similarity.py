@@ -22,6 +22,8 @@ def estimate_jaccard(s1: Signature, s2: Signature) -> SimilarityEstimate:
     """Fraction of equal entries between two signatures from the same family."""
     if len(s1) != len(s2):
         raise ValueError(f"signature lengths differ: {len(s1)} vs {len(s2)}")
+    if not len(s1):
+        raise ValueError("cannot estimate from empty signatures")
     if s1.family_key is not None and s2.family_key is not None and s1.family_key != s2.family_key:
         raise ValueError("signatures come from different hash families")
     k = len(s1)

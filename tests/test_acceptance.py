@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from dynminhash import _kernels, bench
+from dynminhash import bench
 from dynminhash.core import BufferedSketch, Signature
 from dynminhash.hashing import new_family
 from dynminhash.lsh import BandingParams, LshIndex, candidate_probability, choose_banding, score_acp
@@ -275,8 +275,6 @@ def test_criterion_05_fault_decay_shape():
 
 
 @pytest.mark.acceptance
-@pytest.mark.skipif(not _kernels.ENABLED,
-                    reason="numba not importable: the 20x gate is for the compiled kernels")
 def test_criterion_06_speedup():
     rows = bench.speedup([1 << 12], k=256, ell=32, reps=3, seed=SEED, universe_bits=32)
     ratio = rows[0]["speedup"]

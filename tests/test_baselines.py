@@ -3,7 +3,6 @@ import struct
 import numpy as np
 import pytest
 
-from dynminhash import _kernels
 from dynminhash.baselines import ALPHA, BssProactiveSketch, BssSketch, VanillaSketch
 from dynminhash.core import TOP
 from dynminhash.errors import EmptyRowError, EmptySetError, IllegalStreamError, RecoveryError
@@ -141,12 +140,10 @@ def _top_key_family():
     return HashFamily.from_tables(tables)
 
 
-@pytest.mark.parametrize("compiled", [False, True], ids=["fallback", "kernels"])
 class TestVanillaTopKeyElement:
     X = 2**32 - 1
 
-    def test_singleton_signature(self, monkeypatch, compiled):
-        monkeypatch.setattr(_kernels, "ENABLED", compiled)
+    def test_singleton_signature(self):
         fam = _top_key_family()
         sk = VanillaSketch(fam)
         sk.insert(self.X)
@@ -154,8 +151,7 @@ class TestVanillaTopKeyElement:
         for got in (sk, VanillaSketch.init([self.X], fam), VanillaSketch.from_bytes(sk.to_bytes(), fam)):
             assert np.array_equal(got.signature().values, ref_signature(fam, [self.X]))
 
-    def test_delete_then_insert_matches_init(self, monkeypatch, compiled):
-        monkeypatch.setattr(_kernels, "ENABLED", compiled)
+    def test_delete_then_insert_matches_init(self):
         fam = _top_key_family()
         sk = VanillaSketch.init([self.X], fam)
         sk.delete(self.X, lambda: [])
@@ -164,8 +160,7 @@ class TestVanillaTopKeyElement:
         sk.insert(5)
         assert sk.signature() == VanillaSketch.init([5], fam).signature()
 
-    def test_delete_from_empty_is_noop(self, monkeypatch, compiled):
-        monkeypatch.setattr(_kernels, "ENABLED", compiled)
+    def test_delete_from_empty_is_noop(self):
         sk = VanillaSketch(_top_key_family())
 
         def recover():  # pragma: no cover - must not be called

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from dynminhash import _kernels, bench
+from dynminhash import bench
 from dynminhash.cli import EXIT_CONFIG_ERROR, EXIT_DATA_ERROR, run
 from dynminhash.lsh import BandingParams
 from dynminhash.similarity import exact_jaccard
@@ -37,10 +37,8 @@ class TestBench:
         assert row["speedup"] == row["vanilla_time_s"] / row["bmh_time_s"]
         assert row["hash_eval_ns"] > 0
 
-    # At this scale wall time is per-op numpy overhead, which favours the
-    # one-call vanilla update; the buffered sketch wins only when compiled.
-    @pytest.mark.skipif(not _kernels.ENABLED,
-                        reason="numba not importable: the ordering is for the compiled kernels")
+    # The buffered sketch's stream ops make no numpy call per op, so it
+    # beats the one-call vanilla update even at this scale.
     def test_speedup_ordering(self):
         rows = bench.speedup([256], k=8, ell=8, reps=2, seed=2, universe_bits=14)
         assert rows[0]["speedup"] >= 1.0
@@ -134,6 +132,15 @@ class TestCli:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload[0]["n"] == 128
+
+    @pytest.mark.parametrize("command", ["fault-sweep", "speedup", "mixed"])
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_reps_below_one_rejected(self, command, reps, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--reps", reps])
+        assert exc.value.code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "--reps" in err and "at least 1" in err
 
     def test_gen_stream_roundtrip(self, tmp_path):
         out = tmp_path / "ops.tsv"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynminhash import _kernels, core
+from dynminhash import core
 from dynminhash.core import MAX_ELL, TOP, BufferedSketch, Signature
 from dynminhash.errors import EmptySetError, RecoveryError
 from dynminhash.hashing import HashFamily, new_family
@@ -257,10 +257,8 @@ class TestDelete:
             sk.delete(4, broken)
         assert sk.to_bytes() == before
 
-    @pytest.mark.parametrize("compiled", [False, True], ids=["fallback", "kernels"])
-    def test_stale_recovery_raises_and_keeps_state(self, id_family, monkeypatch, compiled):
+    def test_stale_recovery_raises_and_keeps_state(self, id_family):
         # Deleting 4 faults, so 4 was present; a store still holding it is stale.
-        monkeypatch.setattr(_kernels, "ENABLED", compiled)
         sk = BufferedSketch.init([4, 9], id_family, 1)
         before = sk.to_bytes()
         with pytest.raises(RecoveryError, match="stale"):
@@ -278,12 +276,10 @@ def _top_key_family():
     return HashFamily.from_tables(tables)
 
 
-@pytest.mark.parametrize("compiled", [False, True], ids=["fallback", "kernels"])
 class TestTopKeyElement:
     X = 2**32 - 1
 
-    def test_insert_matches_init(self, monkeypatch, compiled):
-        monkeypatch.setattr(_kernels, "ENABLED", compiled)
+    def test_insert_matches_init(self):
         fam = _top_key_family()
         for members in ([], [1, 2], [1, 2, 3, 4]):
             sk = BufferedSketch.init(members, fam, 3)
@@ -292,12 +288,11 @@ class TestTopKeyElement:
             assert state_equal(sk, want)
             assert sk.signature() == want.signature()
 
-    def test_merged_run_matches_init(self, monkeypatch, compiled):
+    def test_merged_run_matches_init(self):
         # A run long enough to be merged; at these ells function 0's row
         # ends with the TOP key dropped, last in a full row, or in a row
         # that stays short, where the size must count it, also when the
         # key was buffered before a run without 2^32 - 1.
-        monkeypatch.setattr(_kernels, "ENABLED", compiled)
         fam = _top_key_family()
         run = list(range(10, 10 + core._MERGE_MIN)) + [self.X]
         for ell in (len(run) - 1, len(run), len(run) + 2, len(run) + 3):
@@ -308,15 +303,13 @@ class TestTopKeyElement:
                         sk.insert(x)
                     assert state_equal(sk, BufferedSketch.init(members + queued, fam, ell))
 
-    def test_phantom_delete_is_noop(self, monkeypatch, compiled):
-        monkeypatch.setattr(_kernels, "ENABLED", compiled)
+    def test_phantom_delete_is_noop(self):
         sk = BufferedSketch.init([1, 2], _top_key_family(), 3)
         before = sk.to_bytes()
         sk.delete(self.X, lambda: [1, 2])
         assert sk.to_bytes() == before
 
-    def test_delete_matches_init_signature(self, monkeypatch, compiled):
-        monkeypatch.setattr(_kernels, "ENABLED", compiled)
+    def test_delete_matches_init_signature(self):
         fam = _top_key_family()
         sk = BufferedSketch.init([1, 2, self.X], fam, 3)
         sk.delete(self.X, lambda: [1, 2])
@@ -369,16 +362,12 @@ def _index_ops(seed, keys, n_ops):
     return ops, initial
 
 
-def _replay_paths(monkeypatch, fam, ell, initial, ops, switch_every=0):
-    """Replay ``ops`` from ``init(initial)`` on the fallback and on the
-    kernel path, which never builds the element index; assert equal
-    checkpoints and fault counts after every delete, and
+def _replay_model(monkeypatch, fam, ell, initial, ops):
+    """Replay ``ops`` from ``init(initial)`` on the sketch and on
+    ``_BufferModel``; after every delete, which first applies the inserts
+    queued before it, assert the model's buffers and thresholds and
     ``_structure_faults`` (which compares a built index with the buffers).
-    With ``switch_every``, the fallback replay hands that many ops at a
-    time to the kernels, and both replays read the state before each
-    switch, so that pending inserts are applied by the path that queued
-    them. Returns the fallback's counts of the cases the index must
-    handle."""
+    Returns the counts of the cases the index must handle."""
     events = dict.fromkeys((
         "indexed_insert", "eviction", "delete_evicted", "delete_admitted", "duplicate_buffered",
         "phantom", "fault", "delete_after_merge", "delete_after_fault", "stale"), 0)
@@ -389,7 +378,7 @@ def _replay_paths(monkeypatch, fam, ell, initial, ops, switch_every=0):
         where = sketch._where
         if where is None:
             return insert_one(sketch, x)
-        before = {y: len(rows) for y, rows in where.items()}
+        before = {y: len(entries) for y, entries in where.items()}
         events["duplicate_buffered"] += x in before
         insert_one(sketch, x)
         lost = {y for y, n in before.items() if len(where.get(y, ())) < n}
@@ -399,53 +388,43 @@ def _replay_paths(monkeypatch, fam, ell, initial, ops, switch_every=0):
         if x in where:
             admitted.add(x)
 
-    def replay(kernels_at):
-        monkeypatch.setattr(_kernels, "ENABLED", kernels_at(0))
-        sketch = BufferedSketch.init(initial, fam, ell)
-        members, snaps, faults, faulted = set(initial), [], 0, False
-        for j, (op, x) in enumerate(ops):
-            if switch_every and j % switch_every == 0:
-                sketch.to_bytes()
-            compiled = kernels_at(j)
-            monkeypatch.setattr(_kernels, "ENABLED", compiled)
+    with monkeypatch.context() as m:
+        m.setattr(BufferedSketch, "_insert_one", observed_insert_one)
+        sketch, model = BufferedSketch.init(initial, fam, ell), _BufferModel(fam, ell)
+        model.rebuild(initial)
+        members, faults, faulted = set(initial), 0, False
+        for op, x in ops:
             if op == "insert":
                 members.add(x)
                 sketch.insert(x)
+                model.insert(x)
                 continue
-            if not compiled:
-                events["phantom"] += x not in members
-                events["delete_evicted"] += x in members and x in evicted
-                events["delete_admitted"] += x in members and x in admitted
-                events["delete_after_merge"] += len(sketch._pending) >= core._MERGE_MIN
-                events["delete_after_fault"] += faulted
+            events["phantom"] += x not in members
+            events["delete_evicted"] += x in members and x in evicted
+            events["delete_admitted"] += x in members and x in admitted
+            events["delete_after_merge"] += len(sketch._pending) >= core._MERGE_MIN
+            events["delete_after_fault"] += faulted
             members.discard(x)
             recovered = members | {x} if op == "stale" else members
             try:
                 sketch.delete(x, lambda: list(recovered))
             except RecoveryError:
                 assert op == "stale"
-                events["stale"] += not compiled
+                events["stale"] += 1
                 members.add(x)  # the sketch kept its pre-delete state
+            else:
+                model.delete(x, members)
             faulted = sketch.fault_count > faults
             faults = sketch.fault_count
-            events["fault"] += faulted and not compiled
-            assert sketch._where is None or not compiled
+            events["fault"] += faulted
+            model.assert_matches(sketch)
             assert sketch._structure_faults() == []
-            snaps.append((sketch.to_bytes(), sketch.fault_count, sketch.recovery_elements_streamed))
-        return snaps
-
-    want = replay(lambda j: True)
-    monkeypatch.setattr(BufferedSketch, "_insert_one", observed_insert_one)
-    got = replay(lambda j: switch_every > 0 and j // switch_every % 2 == 1)
-    assert len(got) == len(want)
-    for j, (a, b) in enumerate(zip(got, want)):
-        assert a == b, f"state differs after delete {j}"
     return events
 
 
 class TestElementIndex:
     @pytest.mark.parametrize("k,ell,seed", [(4, 3, 1), (6, 1, 2), (16, 4, 3)])
-    def test_stream_ops_match_kernel_path(self, monkeypatch, k, ell, seed):
+    def test_stream_ops_match_buffer_model(self, monkeypatch, k, ell, seed):
         """Per-op inserts that evict from full rows while the index is
         built, then deletes of evicted and admitted elements, re-inserts of
         buffered elements, phantom deletes, deletes right after a merge and
@@ -453,20 +432,10 @@ class TestElementIndex:
         fam = new_family(k, seed)
         pool = np.random.default_rng(seed).choice(1 << 32, size=6000, replace=False).tolist()
         ops, initial = _index_ops(seed, dict(zip(pool, fam.keys_many(pool).tolist())), 1500)
-        events = _replay_paths(monkeypatch, fam, ell, initial, ops)
+        events = _replay_model(monkeypatch, fam, ell, initial, ops)
         assert min(events.values()) > 0, events
 
-    def test_switching_paths_drops_the_index(self, monkeypatch):
-        """A sketch whose ops alternate between the fallback and the kernels
-        ends each fallback stretch with an exact index: the kernels drop it
-        rather than leave it stale."""
-        fam = new_family(4, 9)
-        pool = np.random.default_rng(9).choice(1 << 32, size=3000, replace=False).tolist()
-        ops, initial = _index_ops(9, dict(zip(pool, fam.keys_many(pool).tolist())), 600)
-        events = _replay_paths(monkeypatch, fam, 3, initial, ops, switch_every=40)
-        assert events["indexed_insert"] and events["delete_admitted"], events
-
-    def test_top_key_element_matches_kernel_path(self, monkeypatch):
+    def test_top_key_element_matches_buffer_model(self, monkeypatch):
         """Element 2^32 - 1, whose key under function 0 of the crafted
         family is TOP: buffered in a row while the index is built, pushed
         out of that row when it fills, deleted, re-inserted, deleted as a
@@ -478,13 +447,13 @@ class TestElementIndex:
                ("insert", top), ("delete", 1), ("delete", 2), ("delete", top), ("delete", top),
                ("insert", top), ("insert", 4), ("delete", 3), ("insert", 5), ("delete", top),
                ("insert", top), ("delete", 4), ("delete", 5), ("stale", top), ("delete", top)]
-        events = _replay_paths(monkeypatch, fam, 3, [1, 2], ops)
+        events = _replay_model(monkeypatch, fam, 3, [1, 2], ops)
         assert min(events[e] for e in ("eviction", "delete_evicted", "delete_admitted",
                                        "phantom", "fault", "stale")) > 0, events
         pool = [top] + list(range(10, 6000))
         ops, initial = _index_ops(5, dict(zip(pool, fam.keys_many(pool).tolist())), 700)
         ops = [(op, top if i % 9 == 4 else x) for i, (op, x) in enumerate(ops)]
-        _replay_paths(monkeypatch, fam, 3, initial, ops)
+        _replay_model(monkeypatch, fam, 3, initial, ops)
 
 _BLOCK_ELL = 4
 _DEFAULT_CAP = core._PENDING_CAP
@@ -616,6 +585,15 @@ class TestCheckInvariants:
         sk._where[x] = sk._where[x][:-1] or [2]  # drops or invents a row
         report = sk.check_invariants(range(50))
         assert any("(internal)" in v and "index" in v for v in report.violations)
+
+    def test_detects_element_index_entry_with_wrong_key(self):
+        fam = new_family(3, 31)
+        sk = BufferedSketch.init(range(50), fam, 4)
+        sk.delete(1000, lambda: range(50))  # phantom: builds the index
+        assert sk._structure_faults() == []
+        x = next(iter(sk._where))
+        sk._where[x][0] ^= 1 << 40  # a hash bit; the row bits stay intact
+        assert any("(internal)" in v and "index" in v for v in sk._structure_faults())
 
 
 def _rows(sketch):

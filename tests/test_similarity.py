@@ -28,6 +28,10 @@ class TestEstimateJaccard:
         with pytest.raises(ValueError):
             estimate_jaccard(a, b)
 
+    def test_empty_signatures_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            estimate_jaccard(Signature([]), Signature([]))
+
     def test_mismatched_family_rejected(self):
         a = Signature([1, 2], family_key=(0, 2))
         b = Signature([1, 2], family_key=(5, 2))
