@@ -61,13 +61,6 @@ def _write_rows(rows, out_path, as_json: bool) -> None:
             target.close()
 
 
-def _int_list(text: str) -> list:
-    try:
-        return [int(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -76,6 +69,10 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _positive_int_list(text: str) -> list:
+    return [_positive_int(part) for part in text.split(",") if part]
 
 
 def _float_list(text: str) -> list:
@@ -105,18 +102,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fault-sweep", parents=[common],
                        help="stress test over a range of buffer sizes")
-    p.add_argument("--n", type=int, default=4096, help="elements inserted then deleted")
-    p.add_argument("--ells", type=_int_list, default=[2, 4, 8, 16, 32, 64],
+    p.add_argument("--n", type=_positive_int, default=4096,
+                   help="elements inserted then deleted, at least 1")
+    p.add_argument("--ells", type=_positive_int_list, default=[2, 4, 8, 16, 32, 64],
                    help="comma-separated buffer sizes to sweep")
 
     p = sub.add_parser("speedup", parents=[common],
                        help="buffered sketch vs argmin-only baseline on identical streams")
-    p.add_argument("--n-list", type=_int_list, default=[4096],
-                   help="comma-separated stream half-lengths")
+    p.add_argument("--n-list", type=_positive_int_list, default=[4096],
+                   help="comma-separated stream half-lengths, each at least 1")
 
     p = sub.add_parser("mixed", parents=[common],
                        help="interleaved updates and signature queries, all sketches")
-    p.add_argument("--n", type=int, default=4096, help="events per workload")
+    p.add_argument("--n", type=_positive_int, default=4096, help="events per workload, at least 1")
     p.add_argument("--p-list", type=_float_list, default=[0.0, 0.01, 0.05, 0.1, 0.5, 0.9],
                    help="query fractions to sweep")
 

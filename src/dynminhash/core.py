@@ -41,21 +41,22 @@ MAX_ELL = 1 << 16
 #: the queue. A flush of fewer than _MERGE_MIN pending inserts runs the
 #: per-op insert on each; a longer one is merged in one vectorised pass
 #: (``BufferedSketch._merge``). Measured at k=256, ell=32 on a 2-vCPU host:
-#: a merge costs 0.15-0.35 ms plus about 4 us per insert, while a per-op
-#: insert costs 0.3-0.8 ms into rows that are filling, about 40 us into a
-#: set of 1024 elements and 4-8 us into one of 2^14. The
-#: per-op path is faster for runs below 8 (at 1024 elements) to 128 (at
-#: 2^14); 64 sits between, and keeps runs of one, as in interleaved inserts
-#: and deletes, off the merge.
+#: a merge into full rows costs about 0.45 ms plus 1-2.5 us per insert,
+#: while a per-op insert costs 0.3-0.8 ms into rows that are filling, about
+#: 35 us into a set of 1024 elements and 4-8 us into one of 2^14. The
+#: per-op path is faster for runs below 8 (at 1024 elements) to 64 (at
+#: 2^14); 64 keeps runs of one, as in interleaved inserts and deletes, off
+#: the merge.
 _MERGE_MIN = 64
 
 #: ``insert`` flushes once this many inserts are pending, and ``_merge``
 #: hashes at most this many elements at a time, which bounds the (k, n) key
 #: array of every bulk path (8 MiB at k=256). Replaying six churn streams
 #: (2^15 inserts, then their deletes; k=256, ell=32; same host), caps from
-#: 1024 to 8192 gave insert phases of 87-139 ms, within the host's noise
-#: of each other, against 388-419 ms per-op, and a peak RSS of 76.2-77.0 MB
-#: against 76.3 MB per-op.
+#: 1024 to 8192 gave insert phases of 31-57 ms, within the host's noise of
+#: each other, against 239-435 ms per-op. The peak RSS of that replay rose
+#: with the cap, 47.3 MB at 1024, 50.0 at 2048, 53.7 at 4096 and 61.9 at
+#: 8192, against 53.3 MB per-op, whose fault rebuilds run here too.
 _PENDING_CAP = 4096
 
 
@@ -288,24 +289,36 @@ class BufferedSketch:
         keys and the new keys at or below its threshold at the start, and
         a row that ends full takes its last key as threshold. Elements are
         hashed _PENDING_CAP at a time, and only a block's ell smallest keys
-        per row can enter the row.
+        per row can enter the row. Once every row holds keys and has a
+        threshold below TOP (every flush after the first fill, and every
+        block of a rebuild after its first), only the keys at or below the
+        thresholds are built (``HashFamily._keys_below``); until then every
+        key of the block is.
         """
         self._where = None
-        ell, size, delta = self.ell, self._size, self._delta
+        k, ell, size, delta = self.family.k, self.ell, self._size, self._delta
         for start in range(0, xs.size, _PENDING_CAP):
-            keys = self.family.keys_many(xs[start:start + _PENDING_CAP]).T  # (k, block)
-            # Only x = 2^32 - 1, the last element, can have a key equal to
-            # TOP, which the masking below cannot tell from padding.
-            top_key = keys[:, -1] == TOP
-            if keys.shape[1] > ell:
-                keys.partition(ell - 1, axis=1)
-                keys = keys[:, :ell]
+            block = xs[start:start + _PENDING_CAP]
+            if self._sizev[0] and (delta != TOP).all():
+                # Every threshold is below TOP, so no TOP key can enter,
+                # and none is buffered.
+                keys, top = self._admitted(block), False
+            else:
+                keys = self.family.keys_many(block).T  # (k, block)
+                # Only x = 2^32 - 1, the last element, can have a key equal to
+                # TOP, which the masking below cannot tell from padding.
+                top_key = keys[:, -1] == TOP
+                if keys.shape[1] > ell:
+                    keys.partition(ell - 1, axis=1)
+                    keys = keys[:, :ell]
+                if self._sizev[0]:
+                    # A TOP key enters a row whose threshold is TOP, or is
+                    # buffered already, as the (nonempty) row's last key.
+                    top = top_key & (delta == TOP)
+                    top |= self._buf[np.arange(k), size - 1] == TOP
+                    keys = np.where(keys <= delta[:, None], keys, TOP)
             if self._sizev[0]:
-                # A TOP key enters a row whose threshold is TOP, or is
-                # buffered already, as the (nonempty) row's last key.
-                top = top_key & (delta == TOP)
-                top |= self._buf[np.arange(self.family.k), size - 1] == TOP
-                rows = np.concatenate((self._buf, np.where(keys <= delta[:, None], keys, TOP)), axis=1)
+                rows = np.concatenate((self._buf, keys), axis=1)
                 rows.sort(axis=1)
                 rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = TOP  # a key already buffered
                 rows.sort(axis=1)
@@ -320,6 +333,21 @@ class BufferedSketch:
             delta[full] = self._buf[full, ell - 1]
             self._gate = _gate_of(delta)
             del keys, rows  # freed before the next block is hashed
+
+    def _admitted(self, xs: np.ndarray) -> np.ndarray:
+        """The keys of ``xs`` at or below each row's threshold, as a (k, m)
+        array padded with TOP: row i holds function i's keys, at most the
+        ell smallest."""
+        fn, keys = self.family._keys_below(xs, self._delta)
+        counts = np.bincount(fn, minlength=self.family.k)
+        out = np.full((self.family.k, counts.max()), TOP, dtype=np.uint64)
+        # fn is ordered, so a key's place in its row is its place in fn
+        # minus the place where fn's run of that row starts.
+        out[fn, np.arange(fn.size) - np.repeat(np.cumsum(counts) - counts, counts)] = keys
+        if out.shape[1] > self.ell:
+            out.partition(self.ell - 1, axis=1)
+            out = out[:, :self.ell]
+        return out
 
     def _insert_one(self, x: int) -> None:
         """Insert x (checked) now: the per-op path.

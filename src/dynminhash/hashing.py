@@ -18,8 +18,9 @@ MAX_UNIVERSE = 1 << 32
 
 _U64 = (1 << 64) - 1
 
-#: Keys per gather block in ``HashFamily.keys_many`` (512 KiB of uint32)
-#: and per block of ``HashFamily.min_hashes`` (1 MiB of uint64).
+#: Keys per gather block in ``HashFamily.keys_many`` (512 KiB of uint32),
+#: per block of ``HashFamily.min_hashes`` (1 MiB of uint64) and per prefix
+#: block of ``HashFamily._keys_below`` (256 KiB of uint16).
 _GATHER_KEYS = 1 << 17
 
 # splitmix64 constants, used to derive independent per-function subseeds from
@@ -96,10 +97,12 @@ class HashFamily:
     stream tables) reads one byte-wide table of (4, 256, k) uint32 hash
     values, precombined from the nibble tables on first use (1 MiB at
     k=256); outputs are bit-identical to evaluating the 8 nibble tables
-    directly.
+    directly. ``_keys_below``, which builds only the keys at or below given
+    bounds, first filters on a (4, 256, k) uint16 table of the top 16 bits
+    of those values (512 KiB at k=256), built on its first call.
     """
 
-    __slots__ = ("k", "master_seed", "tables", "_packed", "_stream")
+    __slots__ = ("k", "master_seed", "tables", "_packed", "_prefix", "_stream")
 
     def __init__(self, k: int, master_seed: int):
         if k < 1:
@@ -114,6 +117,7 @@ class HashFamily:
         tables.setflags(write=False)
         self.tables = tables
         self._packed = None
+        self._prefix = None
         self._stream = None
 
     @classmethod
@@ -132,6 +136,7 @@ class HashFamily:
         obj.master_seed = int(master_seed)
         obj.tables = t
         obj._packed = None
+        obj._prefix = None
         obj._stream = None
         return obj
 
@@ -219,6 +224,42 @@ class HashFamily:
         out <<= np.uint64(32)
         out |= xs
         return out.T
+
+    def _keys_below(self, xs, bound) -> tuple:
+        """(fn, keys): the pair keys of ``xs`` (nonempty, uint64) under each
+        function i that are <= ``bound[i]``, ordered by fn.
+
+        As tabulation is a plain XOR, XORing the top 16 bits of an element's
+        four table entries gives the top 16 bits of its hash. Comparing
+        those with the top 16 bits of the bound passes every key at or below
+        it, and the few above it that share its top bits, so only the pairs
+        that pass are keyed and compared in full. Prefixes are gathered
+        2^17 at a time (256 KiB), a block that stays in cache.
+        """
+        k = self.k
+        if self._prefix is None:
+            self._prefix = (self._byte_tables() >> np.uint32(16)).astype(np.uint16)
+        q = self._prefix
+        byte = [((xs >> np.uint64(8 * t)) & np.uint64(255)).astype(np.intp) for t in range(4)]
+        limit = (bound >> np.uint64(48)).astype(np.uint16)
+        step = max(1, _GATHER_KEYS // k)
+        hits = []
+        for start in range(0, xs.size, step):
+            top = q[0][byte[0][start:start + step]]  # (step, k)
+            for t in (1, 2, 3):
+                top ^= q[t][byte[t][start:start + step]]
+            hits.append(np.flatnonzero(top <= limit) + start * k)
+        j, fn = np.divmod(np.concatenate(hits), k)
+        order = np.argsort(fn, kind="stable")
+        j, fn = j[order], fn[order]
+        flat = self._byte_tables().reshape(-1)
+        h = flat[byte[0][j] * k + fn]
+        for t in (1, 2, 3):
+            h ^= flat[(256 * t + byte[t][j]) * k + fn]
+        keys = np.left_shift(h, 32, dtype=np.uint64)
+        keys |= xs[j]
+        below = keys <= bound[fn]
+        return fn[below], keys[below]
 
     def keys_at(self, xs) -> np.ndarray:
         """Pair keys of ``xs[i, j]`` under function i, for a (k, m) array xs."""

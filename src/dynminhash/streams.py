@@ -52,14 +52,19 @@ class SetStore:
 
     def apply(self, op: StreamOp) -> bool:
         """Apply one op with set semantics; returns whether it was legal."""
-        members = self._sets.setdefault(op.set_id, set())
+        members = self._sets.get(op.set_id)
+        if members is None:
+            members = self._sets[op.set_id] = set()
+        x = op.element
         if op.op == 1:
-            legal = op.element not in members
-            members.add(op.element)
+            if x in members:
+                return False
+            members.add(x)
         else:
-            legal = op.element in members
-            members.discard(op.element)
-        return legal
+            if x not in members:
+                return False
+            members.remove(x)
+        return True
 
     def recover(self, set_id) -> list:
         """The current elements of one set (a fresh stream), with accounting."""

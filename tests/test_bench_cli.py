@@ -142,6 +142,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "--reps" in err and "at least 1" in err
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("speedup", "--n-list", "0"), ("speedup", "--n-list", "64,-2"),
+        ("mixed", "--n", "0"), ("mixed", "--n", "-1"),
+        ("fault-sweep", "--n", "0"), ("fault-sweep", "--ells", "2,0"),
+    ])
+    def test_sizes_below_one_rejected(self, command, flag, value, capsys):
+        # speedup --n-list 0 divided by an empty stream's zero time, and
+        # mixed --n 0 printed rows of zero times.
+        with pytest.raises(SystemExit) as exc:
+            run([command, flag, value, "--reps", "1", "--k", "4"])
+        assert exc.value.code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err and "at least 1" in err
+
     def test_gen_stream_roundtrip(self, tmp_path):
         out = tmp_path / "ops.tsv"
         code = run(["gen-stream", "--n", "16", "--universe-bits", "12",

@@ -455,6 +455,110 @@ class TestElementIndex:
         ops = [(op, top if i % 9 == 4 else x) for i, (op, x) in enumerate(ops)]
         _replay_model(monkeypatch, fam, 3, initial, ops)
 
+
+def _tied_top_key_family():
+    """``_top_key_family`` with every hash of function 0 in
+    [0xFFFF0000, 2^32): each of its keys shares its top 16 bits with every
+    threshold, and the key of 2^32 - 1 is still TOP."""
+    tables = _top_key_family().tables.copy()
+    tables[0] &= 0xFFFF
+    tables[0, 7] |= 0xFFFF0000
+    return HashFamily.from_tables(tables)
+
+
+def _burst_ops(seed, pool, ell, bursts):
+    """(ops, initial members) with ``initial`` filling every row, then
+    ``bursts`` insert bursts of at least _MERGE_MIN elements, mostly fresh
+    from ``pool`` and some members, each followed by deletes: some phantom,
+    most of members, at times enough to drain the set and fault."""
+    rng = np.random.default_rng(seed)
+    fresh = iter(pool)
+    members = [next(fresh) for _ in range(2 * ell + 8)]
+    initial, ops = list(members), []
+    for _ in range(bursts):
+        run = [members[rng.integers(len(members))] if members and rng.random() < 0.1 else next(fresh)
+               for _ in range(core._MERGE_MIN + int(rng.integers(0, 4 * ell + 40)))]
+        ops += [("insert", x) for x in run]
+        members = list(dict.fromkeys(members + run))
+        keep = int(rng.integers(0, 2 * ell + 8)) if rng.random() < 0.3 else len(members) // 2
+        members = rng.permutation(members).tolist()
+        for x in members[keep:]:
+            if rng.random() < 0.1:
+                ops.append(("delete", next(fresh)))  # phantom
+            ops.append(("delete", x))
+        members = members[:keep]
+    return ops, initial
+
+
+class TestFilteredMerge:
+    """A merge into rows whose thresholds are all below TOP builds only
+    the keys whose top 16 bits pass (``HashFamily._keys_below``). Streams
+    are replayed against ``_BufferModel``, checked after every delete."""
+
+    @staticmethod
+    def _observe(monkeypatch, ell):
+        """Counts over the filtered merges: pairs whose top 16 bits equal
+        their threshold's, below and above it, of all pairs; blocks where
+        more than ell keys of one row pass; blocks that hold a TOP key, and
+        those where it ties its threshold's top bits."""
+        seen = dict.fromkeys(("merges", "pairs", "tie_below", "tie_above", "crowded", "top_key",
+                              "top_tie"), 0)
+        keys_below = HashFamily._keys_below
+
+        def observed(family, xs, bound):
+            fn, keys = keys_below(family, xs, bound)
+            every = family.keys_many(xs)
+            tie = every >> np.uint64(48) == bound >> np.uint64(48)
+            seen["merges"] += 1
+            seen["pairs"] += every.size
+            seen["tie_below"] += int((tie & (every < bound)).sum())
+            seen["tie_above"] += int((tie & (every > bound)).sum())
+            seen["crowded"] += bool((np.bincount(fn, minlength=family.k) > ell).any())
+            seen["top_key"] += bool((every == TOP).any())
+            seen["top_tie"] += bool((tie & (every == TOP)).any())
+            return fn, keys
+
+        monkeypatch.setattr(HashFamily, "_keys_below", observed)
+        return seen
+
+    @pytest.mark.parametrize("k,ell,narrow,cap", [
+        (4, 3, False, None), (16, 4, False, 97), (5, 4, True, None), (8, 2, True, 97)])
+    def test_bursts_into_full_rows_match_buffer_model(self, monkeypatch, k, ell, narrow, cap):
+        """Bursts into full rows and into rows that deletes left short with
+        their thresholds. The narrow family keeps the low 17 bits of each
+        hash, so nearly every key's top 16 bits tie its threshold's and the
+        full comparison decides. A cap of 97 splits bursts and the rebuilds
+        of faults into several blocks, all but the first filtered."""
+        fam = new_family(k, 40 + ell)
+        if narrow:
+            fam = HashFamily.from_tables(fam.tables & 0x1FFFF)
+        if cap is not None:
+            monkeypatch.setattr(core, "_PENDING_CAP", cap)
+        pool = np.random.default_rng(k).choice(1 << 32, size=6000, replace=False).tolist()
+        ops, initial = _burst_ops(k, pool, ell, 24)
+        seen = self._observe(monkeypatch, ell)
+        events = _replay_model(monkeypatch, fam, ell, initial, ops)
+        assert events["fault"] > 0 and events["delete_after_merge"] > 0, events
+        assert seen["merges"] > 0 and seen["crowded"] > 0, seen
+        if narrow:
+            assert seen["tie_below"] > 0 and seen["tie_above"] > 0, seen
+            assert seen["tie_below"] + seen["tie_above"] > seen["pairs"] // 2, seen
+
+    @pytest.mark.parametrize("family", [_top_key_family, _tied_top_key_family])
+    def test_top_key_element_in_bursts_matches_buffer_model(self, monkeypatch, family):
+        """Element 2^32 - 1, whose key under function 0 is TOP, in bursts
+        into full rows. Under the tied family that key passes the prefix
+        test, and the full comparison must reject it."""
+        fam, ell = family(), 3
+        pool = list(range(10, 6000))
+        pool[2 * ell + 8 + 5] = TestTopKeyElement.X  # in the first burst
+        ops, initial = _burst_ops(7, pool, ell, 24)
+        seen = self._observe(monkeypatch, ell)
+        _replay_model(monkeypatch, fam, ell, initial, ops)
+        assert seen["top_key"] > 0, seen
+        assert seen["top_tie"] > 0 or family is _top_key_family, seen
+
+
 _BLOCK_ELL = 4
 _DEFAULT_CAP = core._PENDING_CAP
 
