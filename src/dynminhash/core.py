@@ -151,14 +151,17 @@ class BufferedSketch:
     Inserts are deferred: each is validated at once and applied when the
     state is next read (``delete``, ``signature``, ``to_bytes``,
     ``is_empty``, ``check_invariants``) or when _PENDING_CAP are pending.
-    A read can therefore write, so even read-only calls on one sketch must
-    not run concurrently; distinct sketches may share one immutable
-    HashFamily across threads.
+    A delete updates the element index and the row sizes at once, but
+    queues the removal of x's keys from their rows, which the next flush
+    applies before the pending inserts and a fault discards (its rebuild
+    replaces every row). A read can therefore write, so even read-only
+    calls on one sketch must not run concurrently; distinct sketches may
+    share one immutable HashFamily across threads.
     """
 
     __slots__ = (
         "family", "ell", "_buf", "_size", "_delta",
-        "_bufv", "_sizev", "_deltav", "_gate", "_pending", "_where",
+        "_bufv", "_sizev", "_deltav", "_gate", "_pending", "_dropped", "_where",
         "fault_count", "recovery_elements_streamed",
     )
 
@@ -185,6 +188,10 @@ class BufferedSketch:
         self._deltav = memoryview(self._delta).cast("B").cast("Q")
         self._gate = _gate_of(self._delta)
         self._pending = []
+        # Queued removals, flat: each deleted element, then its entries
+        # from the element index. Holds at most k * ell entries, since each
+        # one is a key still in a row that the index no longer lists.
+        self._dropped = []
         self._where = None
 
     @classmethod
@@ -214,7 +221,9 @@ class BufferedSketch:
         testing all k thresholds. It holds at most k * ell entries and is
         built at the first delete after ``_set_empty`` or ``_merge``, which
         drop it, so ``init`` and bulk inserts never pay for it; the per-op
-        insert keeps it exact.
+        insert keeps it exact, and a delete moves x's entries to the removal
+        queue. Both callers that drop it leave that queue empty, so the
+        rows it is built from hold no deleted key.
         """
         in_size = np.arange(self.ell)[None, :] < self._size[:, None]
         held = self._buf[in_size]
@@ -268,7 +277,25 @@ class BufferedSketch:
             self._flush()
 
     def _flush(self) -> None:
-        """Apply the pending inserts, in order."""
+        """Apply the queued removals, then the pending inserts, in order.
+
+        Every delete flushes the inserts before it, so the queued removals
+        all precede them. A row's size already counts its queued removals,
+        so each key is searched for and shifted out over the whole row,
+        whose TOP padding sorts after it.
+        """
+        dropped = self._dropped
+        if dropped:
+            ell, buf = self.ell, self._bufv
+            pairs = iter(dropped)
+            for x, entries in zip(pairs, pairs):
+                for e in entries:
+                    i = e & 0xFFFFFFFF
+                    hi = (i + 1) * ell
+                    pos = bisect_left(buf, e ^ i | x, hi - ell, hi)
+                    buf[pos:hi - 1] = buf[pos + 1:hi]
+                    buf[hi - 1] = _TOP_INT
+            dropped.clear()
         pending = self._pending
         if not pending:
             return
@@ -282,7 +309,8 @@ class BufferedSketch:
     def _merge(self, xs: np.ndarray) -> None:
         """Insert the elements ``xs`` (``as_element_set`` output: sorted,
         no repeats) at once, leaving the state that inserting them one by
-        one leaves. ``init``, a fault's rebuild and a long flush run here.
+        one leaves. ``init``, a fault's rebuild and a long flush run here,
+        each with no removal queued.
 
         During inserts a threshold only falls, and a row that fills keeps
         its smallest keys. So row i ends as the smallest min(ell, .) of its
@@ -416,8 +444,10 @@ class BufferedSketch:
 
         The rows that hold x, and x's key in each, come from the element
         index (``_element_index``): an element no row buffers, the common
-        case, costs one dict lookup, and a buffered one a binary search per
-        row that holds it.
+        case, costs one dict lookup. For a buffered one, the sizes of the
+        rows that hold it fall at once and the removal of its keys is queued
+        (see the class docstring), so a fault that follows before the next
+        read never pays for it.
         """
         x = index(x)  # hashing.as_element, inlined as in insert
         if not 0 <= x < MAX_UNIVERSE:
@@ -432,26 +462,22 @@ class BufferedSketch:
         entries = where.get(x)
         if entries is None:
             return  # no row holds x
-        ell = self.ell
-        buf, size = self._bufv, self._sizev
+        size = self._sizev
         for e in entries:
             if size[e & 0xFFFFFFFF] == 1:
                 self._fault(recover, x)
                 return
         del where[x]
         for e in entries:
-            i = e & 0xFFFFFFFF
-            key = e ^ i | x
-            lo = i * ell
-            end = lo + size[i]
-            pos = bisect_left(buf, key, lo, end)
-            buf[pos:end - 1] = buf[pos + 1:end]
-            buf[end - 1] = _TOP_INT
-            size[i] = end - lo - 1
+            size[e & 0xFFFFFFFF] -= 1
+        dropped = self._dropped
+        dropped.append(x)
+        dropped.append(entries)
 
     def _fault(self, recover, x: int) -> None:
         # Some buffer would empty: one recovery query rebuilds everything,
-        # so per-function removals are skipped (the rebuild covers them).
+        # so x's removals and the queued ones are skipped (the rebuild
+        # covers them).
         recovered = _recover(recover, x)
         if recovered.size:
             self.fault_count += 1
@@ -461,7 +487,7 @@ class BufferedSketch:
 
     def signature(self) -> Signature:
         """The k-MinHash signature of the tracked set, in O(k) time."""
-        if self._pending:
+        if self._pending or self._dropped:
             self._flush()
         if self._size[0] == 0:
             raise EmptySetError("signature undefined for an empty set")

@@ -1139,6 +1139,7 @@ def test_deferred_inserts_match_per_op_path(monkeypatch, k, ell, seed):
 
     def observe(sketch, burst):
         if burst is None:
+            sketch._flush()  # queued removals leave deleted keys in the rows
             buf = sketch._buf[sketch._buf != TOP]
             before.update(buffered=set((buf & np.uint64(0xFFFFFFFF)).tolist()),
                           size=sketch._size.copy(), delta=sketch._delta.copy())
@@ -1193,3 +1194,137 @@ def _burst_lengths(ops):
             lengths.append(n)
             n = 0
     return lengths
+
+
+def _queued_ops(seed, pool, ell, rounds, top=None):
+    """Ops for ``_replay_at_reads``: rounds of an insert burst, then a run
+    of at least 64 deletes with no read between them, then a read.
+
+    A run deletes members in random order, mixed with phantom deletes.
+    About a third of the runs drain the set and end with a stale delete of
+    the last member, which faults and fails; the next round deletes that
+    member again. Other runs carry, at a random place, a short insert burst,
+    a burst long enough to be merged, or a checkpoint round trip
+    ("roundtrip"). ``top`` joins every other burst.
+    """
+    rng = np.random.default_rng(seed)
+    fresh = iter(pool)
+    members, ops = [], []
+    for r in range(rounds):
+        burst = [next(fresh) for _ in range(int(rng.choice([2, ell, 4 * ell, core._MERGE_MIN + 7])))]
+        if top is not None and r % 2 == 0 and top not in members:
+            burst.insert(int(rng.integers(len(burst) + 1)), top)
+        ops += [("insert", x) for x in burst]
+        members += burst
+        victims = rng.permutation(members).tolist()
+        drain = rng.random() < 0.35
+        if not drain:
+            victims = victims[:int(rng.integers(len(victims) // 2, len(victims)))]
+        gone = set(victims)
+        members = [x for x in members if x not in gone]
+        run = [("delete", x) for x in (victims[:-1] if drain else victims)]
+        while len(run) < 64 or rng.random() < 0.2:
+            run.insert(int(rng.integers(len(run) + 1)), ("delete", next(fresh)))  # phantom
+        if drain:
+            run.append(("stale", victims[-1]))
+            members = victims[-1:]
+        else:
+            extra = rng.random()
+            if extra < 0.6:
+                burst = [next(fresh) for _ in range(3 if extra < 0.3 else core._MERGE_MIN + 3)]
+                members += burst
+                extra = [("insert", x) for x in burst]
+            else:
+                extra = [("roundtrip", None)] if extra < 0.8 else []
+            at = int(rng.integers(1, len(run)))
+            run[at:at] = extra
+        ops += run
+        ops.append(("read", None))
+    return ops
+
+
+def _replay_at_reads(fam, ell, ops, top=None):
+    """Replay ``ops`` (``_queued_ops``) on the sketch and on ``_BufferModel``,
+    comparing them only at reads, so that the deletes between reads queue
+    their removals. After every op, each row's size plus its queued
+    removals is at most ell, so the queue never holds more than k * ell
+    entries. Returns the counts of the queue states the stream reached."""
+    events = dict.fromkeys((
+        "several_in_row", "top_element_queued", "top_key_queued", "fault_queued", "stale_queued",
+        "flush_both", "merge_queued", "roundtrip_queued"), 0)
+    sketch, model, members = BufferedSketch(fam, ell), _BufferModel(fam, ell), set()
+    faults, most = 0, 0  # faults of the sketches replaced by a round trip
+    for op, x in ops:
+        dropped = list(sketch._dropped)
+        queued = [e & 0xFFFFFFFF for entries in dropped[1::2] for e in entries]
+        if op == "insert":
+            members.add(x)
+            sketch.insert(x)
+            model.insert(x)
+        elif op == "read":
+            events["several_in_row"] += len(set(queued)) < len(queued)
+            if members:
+                heads = [keys[0] >> 32 for keys in model.lists]
+                assert sketch.signature().values.tolist() == heads
+            else:
+                assert sketch.is_empty()
+            model.assert_matches(sketch)
+            assert sketch._structure_faults() == []
+            assert faults + sketch.fault_count == model.events["fault"]
+        elif op == "roundtrip":
+            events["roundtrip_queued"] += bool(queued)
+            faults += sketch.fault_count
+            data = sketch.to_bytes()
+            sketch = BufferedSketch.from_bytes(data, fam)
+            assert sketch.to_bytes() == data
+        else:
+            held = sketch._where.get(x, ()) if sketch._where is not None else ()
+            if queued and held:
+                events["top_element_queued"] += x == top
+                events["top_key_queued"] += any(e ^ (e & 0xFFFFFFFF) | x == TOP for e in held)
+            pending = len(sketch._pending)
+            events["flush_both"] += bool(pending and queued)
+            events["merge_queued"] += bool(pending >= core._MERGE_MIN and queued)
+            members.discard(x)
+            recovered = members | {x} if op == "stale" else members
+            before = sketch.fault_count
+            try:
+                sketch.delete(x, lambda: list(recovered))
+            except RecoveryError:
+                assert op == "stale"
+                events["stale_queued"] += bool(queued)
+                assert sketch._dropped == dropped  # the queue survives
+                members.add(x)
+            else:
+                model.delete(x, members)
+                events["fault_queued"] += bool(queued and sketch.fault_count > before)
+        queued = [e & 0xFFFFFFFF for entries in sketch._dropped[1::2] for e in entries]
+        assert (sketch._size + np.bincount(queued, minlength=fam.k).astype(np.int64) <= ell).all()
+        most = max(most, len(queued))
+    assert most > ell
+    return events
+
+
+class TestRemovalQueue:
+    """A delete's row removals wait in a queue until the next read (or the
+    next flush of inserts), and a fault discards them; the state at every
+    read equals the buffer model's."""
+
+    @pytest.mark.parametrize("k,ell,seed", [(4, 4, 1), (16, 8, 2), (3, 5, 3), (64, 3, 4)])
+    def test_runs_of_deletes_match_buffer_model(self, k, ell, seed):
+        """Rows lose several keys before a read; faults and stale recoveries
+        meet a non-empty queue; inserts, merged ones too, are flushed after
+        queued removals; checkpoints round-trip mid-run. Element 2^32 - 1
+        is deleted while it is buffered and other removals are queued."""
+        fam, top = new_family(k, 60 + seed), 2**32 - 1
+        pool = np.random.default_rng(seed).choice(1 << 31, size=20000, replace=False).tolist()
+        events = _replay_at_reads(fam, ell, _queued_ops(seed, pool, ell, 40, top), top)
+        del events["top_key_queued"]
+        assert min(events.values()) > 0, events
+
+    def test_top_key_deleted_with_removals_queued(self):
+        """Under the crafted family, 2^32 - 1's key in row 0 is TOP, which
+        a search over the whole row must tell from the padding."""
+        fam, top = _top_key_family(), TestTopKeyElement.X
+        events = _replay_at_reads(fam, 6, _queued_ops(14, list(range(10, 20000)), 6, 40, top), top)
+        assert events["top_key_queued"] > 0 and events["several_in_row"] > 0, events
