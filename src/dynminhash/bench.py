@@ -360,7 +360,8 @@ def acp_run(sets: dict, k: int, ell: int, banding: BandingParams, threshold: flo
     total_pairs = n_ids * (n_ids - 1) // 2
     missed_true = 0
     sampled = 0
-    while sampled < negative_sample:
+    # With fewer than two sets, or every pair returned, there is nothing to draw.
+    while sampled < negative_sample and total_pairs > len(returned):
         i, j = rng.integers(0, n_ids, size=2)
         if i == j:
             continue

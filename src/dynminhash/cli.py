@@ -121,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rmse", parents=[common],
                        help="Jaccard estimation error on correlated set pairs")
     p.add_argument("--j-list", type=_float_list, default=[0.1, 0.3, 0.5, 0.7, 0.9])
-    p.add_argument("--pairs", type=int, default=1000, help="pairs per similarity level")
+    p.add_argument("--pairs", type=_positive_int, default=1000,
+                   help="pairs per similarity level, at least 1")
     p.add_argument("--density", type=float, default=0.05, help="base-set sampling density")
     p.add_argument("--sketches", default="bmh,vanilla,bss",
                    help="comma-separated subset of bmh,vanilla,bss")
@@ -132,10 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", default=None, help="SNAP edge list path")
     p.add_argument("--top-v", type=int, default=5000, help="highest-out-degree centers to keep")
     p.add_argument("--radius", type=int, default=1, choices=(1, 2), help="ball radius")
-    p.add_argument("--synthetic-sets", type=int, default=None,
-                   help="use a synthetic corpus of this many sets instead of --edges")
+    p.add_argument("--synthetic-sets", type=_positive_int, default=None,
+                   help="use a synthetic corpus of this many sets instead of --edges, "
+                        "at least 1 and at least twice --planted")
     p.add_argument("--planted", type=int, default=10,
-                   help="planted similar pairs in the synthetic corpus")
+                   help="planted similar pairs in the synthetic corpus, at least 0")
     p.add_argument("--j", type=float, default=0.5, help="similarity threshold")
     p.add_argument("--b", type=int, default=None, help="bands (default: derived)")
     p.add_argument("--r", type=int, default=None, help="rows per band (default: derived)")
@@ -148,13 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-stream", parents=[common],
                        help="write an insert-everything-then-delete-everything stream file")
-    p.add_argument("--n", type=int, default=4096)
+    p.add_argument("--n", type=_positive_int, default=4096,
+                   help="elements inserted then deleted, at least 1")
     p.add_argument("--set-id", type=int, default=0)
 
     p = sub.add_parser("gen-pairs", parents=[common],
                        help="generate correlated set pairs and their exact similarities")
     p.add_argument("--j", type=float, default=0.5)
-    p.add_argument("--pairs", type=int, default=100)
+    p.add_argument("--pairs", type=_positive_int, default=100, help="pairs, at least 1")
     p.add_argument("--density", type=float, default=0.05)
     p.add_argument("--stream-out", default=None,
                    help="also write the pairs as an insert stream (set ids 2i, 2i+1)")
@@ -172,6 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_acp_sets(args):
     if args.synthetic_sets is not None:
+        if args.planted < 0:
+            raise ConfigError(f"--planted must be at least 0, got {args.planted}")
+        if args.synthetic_sets < 2 * args.planted:
+            raise ConfigError(f"--synthetic-sets {args.synthetic_sets} cannot hold "
+                              f"{args.planted} planted pairs: needs at least {2 * args.planted}")
         sets, _ = bench.make_planted_acp_corpus(args.synthetic_sets, args.planted, args.seed)
         return sets
     if args.edges is None:
@@ -185,9 +193,6 @@ def _load_acp_sets(args):
 
 
 def _cmd_acp(args) -> None:
-    sets = _load_acp_sets(args)
-    if not sets:
-        raise DataError("no sets to index")
     if (args.b is None) != (args.r is None):
         raise ConfigError("--b and --r must be given together")
     if args.b is not None:
@@ -199,6 +204,9 @@ def _cmd_acp(args) -> None:
             raise ConfigError(str(exc)) from exc
     if banding.b * banding.r > args.k:
         raise ConfigError(f"banding {banding} needs more than k={args.k} signature entries")
+    sets = _load_acp_sets(args)
+    if not sets:
+        raise DataError("no sets to index")
     try:
         pair_rows, summary = bench.acp_run(
             sets, args.k, args.ell, banding, args.j, args.seed,

@@ -16,6 +16,7 @@ sentinel TOP, standing for the (+inf, +inf) pair; no real pair exceeds it.
 from __future__ import annotations
 
 import struct
+import sys
 from bisect import bisect_left
 from operator import index
 
@@ -58,26 +59,6 @@ _MERGE_MIN = 64
 #: with the cap, 47.3 MB at 1024, 50.0 at 2048, 53.7 at 4096 and 61.9 at
 #: 8192, against 53.3 MB per-op, whose fault rebuilds run here too.
 _PENDING_CAP = 4096
-
-
-def _gate_of(delta: np.ndarray) -> int:
-    """The threshold gate: lane i (bits 16i..16i+15) holds (delta[i] >> 49) + 1.
-
-    Added to the lanes of 0x7FFF minus the top 15 bits of x's keys
-    (``HashFamily._stream_tables``), lane i keeps bit 15 set exactly when
-    those bits are <= the threshold's, and no lane carries into the next,
-    so one addition tests all k functions.
-    """
-    lanes = (delta >> np.uint64(49)) + np.uint64(1)
-    return int.from_bytes(lanes.astype("<u2").tobytes(), "little")
-
-
-def _table_offsets(x: int, k: int) -> tuple:
-    """Where x's four bytes select their entries in the flat ``hashes``
-    view of ``HashFamily._stream_tables``: function i's key of x is
-    (XOR of the four entries at offset + i) << 32 | x."""
-    return ((x & 255) * k, (256 + ((x >> 8) & 255)) * k,
-            (512 + ((x >> 16) & 255)) * k, (768 + (x >> 24)) * k)
 
 
 def _recover(recover, x: int) -> np.ndarray:
@@ -161,7 +142,7 @@ class BufferedSketch:
 
     __slots__ = (
         "family", "ell", "_buf", "_size", "_delta",
-        "_bufv", "_sizev", "_deltav", "_gate", "_pending", "_dropped", "_where",
+        "_bufv", "_sizev", "_deltav", "_dtop", "_pending", "_dropped", "_where",
         "fault_count", "recovery_elements_streamed",
     )
 
@@ -186,7 +167,10 @@ class BufferedSketch:
         self._bufv = memoryview(self._buf).cast("B").cast("Q")
         self._sizev = memoryview(self._size).cast("B").cast("q")
         self._deltav = memoryview(self._delta).cast("B").cast("Q")
-        self._gate = _gate_of(self._delta)
+        # The top 16 bits of each threshold, a strided view of its most
+        # significant uint16 word, so it follows every write to _delta.
+        top = 3 if sys.byteorder == "little" else 0
+        self._dtop = self._delta.view(np.uint16)[top::4]
         self._pending = []
         # Queued removals, flat: each deleted element, then its entries
         # from the element index. Holds at most k * ell entries, since each
@@ -237,30 +221,25 @@ class BufferedSketch:
         """(i, key) for each function i whose threshold may admit x, with key
         x's exact pair key under function i.
 
-        The gate test is exact for the top 15 bits of every key at once:
-        lane i of the sum keeps bit 15 set when the top 15 bits of x's key
-        under function i are <= those of threshold i. A key can share its
-        top bits with the threshold and still exceed it, so callers compare
-        the full key. Empty (the common case once buffers fill) when no lane
-        passes.
+        The prefix test is exact for the top 16 bits of every key at once:
+        the XOR of x's four rows of ``HashFamily._prefix_tables`` holds the
+        top 16 bits of its k hashes, and a function passes when those are
+        <= its threshold's (``_dtop``). A key can share its top bits with
+        the threshold and still exceed it, so callers compare the full key.
+        Empty (the common case once buffers fill) when no function passes.
         """
-        lanes, pk, guard = self.family._stream_tables()
-        cand = (self._gate + (lanes[x & 255] ^ lanes[256 + ((x >> 8) & 255)]
-                              ^ lanes[512 + ((x >> 16) & 255)] ^ lanes[768 + (x >> 24)])) & guard
-        if not cand:
+        family = self.family
+        q = family._prefix_tables()
+        b0, b1, b2, b3 = x & 255, (x >> 8) & 255, (x >> 16) & 255, x >> 24
+        top = q[0, b0] ^ q[1, b1]
+        top ^= q[2, b2]
+        top ^= q[3, b3]
+        fns = (top <= self._dtop).nonzero()[0].tolist()
+        if not fns:
             return ()
-        k = self.family.k
-        b0, b1, b2, b3 = _table_offsets(x, k)
-        # A passing lane is byte 0x80 at offset 2i + 1 of cand's bytes and
-        # every other byte is 0, so find() walks the lanes at C speed.
-        flags = cand.to_bytes(2 * k, "little")
-        out = []
-        p = flags.find(128)
-        while p >= 0:
-            i = p >> 1
-            out.append((i, (pk[b0 + i] ^ pk[b1 + i] ^ pk[b2 + i] ^ pk[b3 + i]) << 32 | x))
-            p = flags.find(128, p + 1)
-        return out
+        k, pk = family.k, family._flat_hashes()
+        b0, b1, b2, b3 = b0 * k, (256 + b1) * k, (512 + b2) * k, (768 + b3) * k
+        return [(i, (pk[b0 + i] ^ pk[b1 + i] ^ pk[b2 + i] ^ pk[b3 + i]) << 32 | x) for i in fns]
 
     def insert(self, x: int) -> None:
         """Add element x. A no-op (bit-identical state) if x is tracked already.
@@ -359,7 +338,6 @@ class BufferedSketch:
             self._buf[:, :rows.shape[1]] = rows
             full = size == ell
             delta[full] = self._buf[full, ell - 1]
-            self._gate = _gate_of(delta)
             del keys, rows  # freed before the next block is hashed
 
     def _admitted(self, xs: np.ndarray) -> np.ndarray:
@@ -380,7 +358,7 @@ class BufferedSketch:
     def _insert_one(self, x: int) -> None:
         """Insert x (checked) now: the per-op path.
 
-        The rows that may admit x come from the threshold gate
+        The rows that may admit x come from the prefix test
         (``_candidates``). The element index, when built, stays exact: x
         gains an entry for each row that admits it, and an element whose key
         drops out of a full row loses that row's entry.
@@ -388,7 +366,6 @@ class BufferedSketch:
         ell = self.ell
         buf, size, delta = self._bufv, self._sizev, self._deltav
         where, added = self._where, []
-        gate = None  # the gate's lane bytes, once some threshold moves
         for i, key in self._candidates(x):
             if key > delta[i]:
                 continue  # equal top bits only
@@ -413,15 +390,7 @@ class BufferedSketch:
             buf[pos] = key
             added.append(key ^ x | i)
             if s + 1 == ell:  # full after the insert: its last key is the threshold
-                last = buf[lo + s]
-                delta[i] = last
-                if gate is None:
-                    gate = bytearray(self._gate.to_bytes(2 * self.family.k, "little"))
-                lane = (last >> 49) + 1
-                gate[2 * i] = lane & 255
-                gate[2 * i + 1] = lane >> 8
-        if gate is not None:
-            self._gate = int.from_bytes(gate, "little")
+                delta[i] = buf[lo + s]
         if added and where is not None:
             entries = where.get(x)
             if entries is None:
@@ -509,9 +478,8 @@ class BufferedSketch:
         Sizes within [0, ell], TOP past each size, strictly sorted rows,
         stored hashes that match their elements, stored keys at or below the
         threshold, a full row's threshold equal to its last key, rows all
-        empty (with TOP thresholds) or none empty, the threshold gate
-        equal to the one the thresholds imply, and the element index, when
-        built, equal to the one the buffers imply.
+        empty (with TOP thresholds) or none empty, and the element index,
+        when built, equal to the one the buffers imply.
         """
         self._flush()
         bad = []
@@ -539,8 +507,6 @@ class BufferedSketch:
                 bad.append("(iii) some buffers are empty and some are not")
             elif (delta != TOP).any():
                 bad.append("(iii) every buffer is empty but some threshold is not TOP")
-        if self._gate != _gate_of(delta):
-            bad.append("(internal) the threshold gate differs from the thresholds")
         if self._where is not None and self._where != self._element_index():
             bad.append("(internal) the element index differs from the buffers")
         return bad
@@ -641,7 +607,6 @@ class BufferedSketch:
             sketch._buf[i, :s] = np.frombuffer(data, dtype="<u8", count=s, offset=start)
             sketch._size[i] = s
             sketch._delta[i] = delta
-        sketch._gate = _gate_of(sketch._delta)
         # The stream ops trust the thresholds and row order, so a state no
         # stream can reach is refused here rather than read back wrongly.
         bad = sketch._structure_faults()

@@ -94,31 +94,25 @@ class HashFamily:
 
     Immutable after construction and safe to share across threads. Every
     evaluation path (`key_one`, `keys_many`, `keys_at`, `min_hashes` and the
-    stream tables) reads one byte-wide table of (4, 256, k) uint32 hash
-    values, precombined from the nibble tables on first use (1 MiB at
-    k=256); outputs are bit-identical to evaluating the 8 nibble tables
-    directly. ``_keys_below``, which builds only the keys at or below given
-    bounds, first filters on a (4, 256, k) uint16 table of the top 16 bits
-    of those values (512 KiB at k=256), built on its first call.
+    per-op insert's exact keys) reads one byte-wide table of (4, 256, k)
+    uint32 hash values, precombined from the nibble tables on first use
+    (1 MiB at k=256); outputs are bit-identical to evaluating the 8 nibble
+    tables directly. Both insert paths first filter on the top 16 bits of
+    those values, a (4, 256, k) uint16 table (512 KiB at k=256) built on
+    first use (``_prefix_tables``).
     """
 
-    __slots__ = ("k", "master_seed", "tables", "_packed", "_prefix", "_stream")
+    __slots__ = ("k", "master_seed", "tables", "_packed", "_prefix", "_flat")
 
     def __init__(self, k: int, master_seed: int):
         if k < 1:
             raise ValueError(f"family size k must be >= 1, got {k}")
         if not 0 <= master_seed < (1 << 64):
             raise ValueError("master_seed must fit in 64 bits")
-        self.k = int(k)
-        self.master_seed = int(master_seed)
         tables = np.empty((k, 8, 16), dtype=np.uint32)
         for i in range(k):
             tables[i] = _tables_from_seed(derive_seed(master_seed, i))
-        tables.setflags(write=False)
-        self.tables = tables
-        self._packed = None
-        self._prefix = None
-        self._stream = None
+        self._adopt(tables, master_seed)
 
     @classmethod
     def from_tables(cls, tables, master_seed: int = 0) -> "HashFamily":
@@ -127,18 +121,21 @@ class HashFamily:
         Functions built this way are not reproducible from per-function
         seeds; intended for tests and experiments with crafted hashes.
         """
-        obj = cls.__new__(cls)
         t = np.ascontiguousarray(tables, dtype=np.uint32)
         if t.ndim != 3 or t.shape[1:] != (8, 16):
             raise ValueError(f"tables must have shape (k, 8, 16), got {t.shape}")
-        t.setflags(write=False)
-        obj.k = t.shape[0]
-        obj.master_seed = int(master_seed)
-        obj.tables = t
-        obj._packed = None
-        obj._prefix = None
-        obj._stream = None
+        obj = cls.__new__(cls)
+        obj._adopt(t, master_seed)
         return obj
+
+    def _adopt(self, tables: np.ndarray, master_seed: int) -> None:
+        # Takes (k, 8, 16) uint32 tables as the family's, read-only, with
+        # every table derived from them left to build on first use.
+        tables.setflags(write=False)
+        self.k = tables.shape[0]
+        self.master_seed = int(master_seed)
+        self.tables = tables
+        self._packed = self._prefix = self._flat = None
 
     @property
     def family_key(self) -> tuple:
@@ -159,28 +156,24 @@ class HashFamily:
             self._packed = p
         return self._packed
 
-    def _stream_tables(self) -> tuple:
-        """Tables for evaluating one element in plain Python: (lanes, hashes, guard).
+    def _prefix_tables(self) -> np.ndarray:
+        """(4, 256, k) uint16: the top 16 bits of ``_byte_tables()``.
 
-        ``lanes`` holds 1024 ints, one per (table t, byte b) at index
-        256 * t + b. Each packs the top 15 bits of all k entries
-        ``_byte_tables()[t, b]`` as 16-bit lanes, function i in bits
-        16i..16i+14; the table-3 ints hold 0x7FFF minus those bits. As
-        tabulation is a plain XOR, the four ints an element selects XOR to
-        0x7FFF minus the top 15 bits of all k of its hashes. ``hashes`` is a
-        flat uint32 view of ``_byte_tables()`` (entry (256 * t + b) * k + i),
-        from which the exact key of one function is (XOR of four entries)
-        << 32 | x. ``guard`` has bit 15 of every lane set.
+        As tabulation is a plain XOR, XORing the four entries an element's
+        bytes select gives the top 16 bits of all k of its hashes, which is
+        the prefix both insert paths test against their thresholds'.
         """
-        if self._stream is None:
-            p = self._byte_tables()
-            top = (p >> np.uint32(17)).astype("<u2")
-            top[3] ^= 0x7FFF
-            raw, step = top.tobytes(), 2 * self.k
-            lanes = [int.from_bytes(raw[j:j + step], "little") for j in range(0, len(raw), step)]
-            guard = int.from_bytes(b"\x00\x80" * self.k, "little")
-            self._stream = (lanes, memoryview(p).cast("B").cast("I"), guard)
-        return self._stream
+        if self._prefix is None:
+            self._prefix = (self._byte_tables() >> np.uint32(16)).astype(np.uint16)
+        return self._prefix
+
+    def _flat_hashes(self) -> memoryview:
+        """``_byte_tables()`` as a flat uint32 memoryview, entry
+        (256 * t + b) * k + i: indexing it reads Python ints, so function
+        i's key of one element is (XOR of four entries) << 32 | x."""
+        if self._flat is None:
+            self._flat = memoryview(self._byte_tables()).cast("B").cast("I")
+        return self._flat
 
     def key_one(self, x: int) -> np.ndarray:
         """All k pair keys (hash << 32 | x) of one element, shape (k,)."""
@@ -229,17 +222,14 @@ class HashFamily:
         """(fn, keys): the pair keys of ``xs`` (nonempty, uint64) under each
         function i that are <= ``bound[i]``, ordered by fn.
 
-        As tabulation is a plain XOR, XORing the top 16 bits of an element's
-        four table entries gives the top 16 bits of its hash. Comparing
-        those with the top 16 bits of the bound passes every key at or below
-        it, and the few above it that share its top bits, so only the pairs
-        that pass are keyed and compared in full. Prefixes are gathered
-        2^17 at a time (256 KiB), a block that stays in cache.
+        Comparing each hash's top 16 bits (``_prefix_tables``) with the
+        bound's passes every key at or below it, and the few above it that
+        share its top bits, so only the pairs that pass are keyed and
+        compared in full. Prefixes are gathered 2^17 at a time (256 KiB), a
+        block that stays in cache.
         """
         k = self.k
-        if self._prefix is None:
-            self._prefix = (self._byte_tables() >> np.uint32(16)).astype(np.uint16)
-        q = self._prefix
+        q = self._prefix_tables()
         byte = [((xs >> np.uint64(8 * t)) & np.uint64(255)).astype(np.intp) for t in range(4)]
         limit = (bound >> np.uint64(48)).astype(np.uint16)
         step = max(1, _GATHER_KEYS // k)

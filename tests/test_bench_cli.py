@@ -93,6 +93,17 @@ class TestBench:
         assert summary["negatives_sampled"] == 100
         assert 0 <= summary["recall_ci_low"] <= summary["recall_ci_high"] <= 1.0
 
+    @pytest.mark.parametrize("n_sets,n_planted", [(2, 1), (1, 0)])
+    def test_acp_run_samples_nothing_when_no_pair_is_left(self, n_sets, n_planted):
+        # The only pair is returned, or there is no pair: drawing a
+        # non-returned pair used to loop forever.
+        sets, _ = bench.make_planted_acp_corpus(n_sets, n_planted, seed=1, universe_bits=16,
+                                                base_size=80)
+        _, summary = bench.acp_run(sets, k=64, ell=8, banding=BandingParams(b=12, r=5),
+                                   threshold=0.5, seed=1, negative_sample=3)
+        assert summary["returned_pairs"] == n_sets * (n_sets - 1) // 2
+        assert summary["negatives_sampled"] == 0 and summary["fn_estimate"] == 0
+
     def test_planted_corpus_shape(self):
         sets, planted = bench.make_planted_acp_corpus(40, 4, seed=7)
         assert len(sets) == 40
@@ -146,6 +157,8 @@ class TestCli:
         ("speedup", "--n-list", "0"), ("speedup", "--n-list", "64,-2"),
         ("mixed", "--n", "0"), ("mixed", "--n", "-1"),
         ("fault-sweep", "--n", "0"), ("fault-sweep", "--ells", "2,0"),
+        ("rmse", "--pairs", "0"), ("gen-pairs", "--pairs", "-1"), ("gen-stream", "--n", "-5"),
+        ("acp", "--synthetic-sets", "0"), ("acp", "--synthetic-sets", "-4"),
     ])
     def test_sizes_below_one_rejected(self, command, flag, value, capsys):
         # speedup --n-list 0 divided by an empty stream's zero time, and
@@ -218,6 +231,16 @@ class TestCli:
         summary = list(csv.DictReader(summary_out.open()))[0]
         assert summary["schema"] == "acp-summary/1"
         assert int(summary["sets"]) == 24
+
+    @pytest.mark.parametrize("n_sets,n_planted", [("3", "4"), ("4", "-1")])
+    def test_acp_synthetic_sets_must_hold_planted_pairs(self, n_sets, n_planted, tmp_path, capsys):
+        # 3 sets with 4 planted pairs indexed 8 sets.
+        code = run(["acp", "--synthetic-sets", n_sets, "--planted", n_planted,
+                    "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "planted" in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_acp_bss_empty_row_is_data_error(self, tmp_path, capsys):
         # On graph balls of a few elements the counter sketch can select an

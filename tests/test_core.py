@@ -672,14 +672,6 @@ class TestCheckInvariants:
         assert not report.ok
         assert any("(iii)" in v for v in report.violations)
 
-    def test_detects_stale_threshold_gate(self):
-        fam = new_family(3, 31)
-        sk = BufferedSketch.init(range(50), fam, 4)
-        assert sk.check_invariants(range(50)).ok
-        sk._gate += 1 << 16  # lane 1 admits one more top-bits value
-        report = sk.check_invariants(range(50))
-        assert any("(internal)" in v and "gate" in v for v in report.violations)
-
     def test_detects_stale_element_index(self):
         fam = new_family(3, 31)
         sk = BufferedSketch.init(range(50), fam, 4)
@@ -1003,16 +995,16 @@ def test_state_matches_buffer_model(k, ell, narrow):
     """Buffers, sizes and thresholds equal the plain-Python model after every
     op of a stream with duplicate inserts, phantom deletes and faults.
 
-    A narrow family keeps only the low 17 bits of each hash, so every key
-    shares its top 15 bits with every threshold: the stream ops' gate then
-    admits every function and the exact key comparison must reject."""
+    A narrow family keeps only the low 17 bits of each hash, so the top 16
+    bits of every key and threshold are 0 or 1: the per-op prefix test then
+    passes most functions, and the exact key comparison must reject."""
     rng = np.random.default_rng(ell)
     fam = new_family(k, 100 + ell)
     if narrow:
         fam = HashFamily.from_tables(fam.tables & 0x1FFFF)
     pool = rng.choice(1 << 20, size=4 * ell + 16, replace=False).tolist()
     sketch, model, members = BufferedSketch(fam, ell), _BufferModel(fam, ell), set()
-    gate_false_positives = 0
+    prefix_false_positives = 0
     for step in range(2400):
         # Alternate phases that fill the buffers and drain the set to empty,
         # so faults happen at every ell. Many ops are non-legal.
@@ -1022,7 +1014,7 @@ def test_state_matches_buffer_model(k, ell, narrow):
         else:
             x = pool[rng.integers(len(pool))]
         present = x in members
-        gate_false_positives += any(key > d and key >> 49 == d >> 49
+        prefix_false_positives += any(key > d and key >> 48 == d >> 48
                                     for key, d in zip(model.keys(x), model.delta))
         insert = rng.random() < (0.02 if draining else 0.85 if present else 0.95)
         if insert:
@@ -1038,7 +1030,69 @@ def test_state_matches_buffer_model(k, ell, narrow):
         model.assert_matches(sketch)
         assert sketch._structure_faults() == []
     assert min(model.events.values()) > 0, model.events
-    assert gate_false_positives > 0 or not narrow
+    assert prefix_false_positives > 0 or not narrow
+
+
+def _candidate_states(fam, ell, seed):
+    """(label, elements, sketch): one sketch of ``fam`` taken through fill
+    levels, each yielded with 400 elements to test, members and others.
+
+    Empty and short rows have every threshold TOP. Then per-op inserts fill
+    every row, a merge lowers the thresholds, deletes leave rows short, and
+    deletes run on until a fault rebuilds into fresh arrays."""
+    rng = np.random.default_rng(seed)
+    pool = rng.choice(1 << 32, size=400, replace=False)
+    xs, sk = pool.astype(np.uint64), BufferedSketch(fam, ell)
+    yield "empty", xs, sk
+    for x in pool[:ell - 1].tolist():
+        sk.insert(x)
+    yield "short", xs, sk
+    for x in pool[ell - 1:ell + 2].tolist():
+        sk.insert(x)
+    yield "just full", xs, sk
+    for x in pool[ell + 2:300].tolist():
+        sk.insert(x)
+    yield "merged", xs, sk
+    members = set(pool[:300].tolist())
+    order = iter(rng.permutation(pool[:300]).tolist())
+    for x in [next(order) for _ in range(100)]:
+        members.discard(x)
+        sk.delete(x, lambda: list(members))
+    yield "deleted", xs, sk
+    faults = sk.fault_count
+    while sk.fault_count == faults:
+        x = next(order)
+        members.discard(x)
+        sk.delete(x, lambda: list(members))
+    yield "fault", xs, sk
+
+
+@pytest.mark.parametrize("k,ell,narrow", [(16, 4, False), (5, 3, False), (16, 4, True)])
+def test_candidates_match_keys_many(k, ell, narrow):
+    """``_candidates(x)`` lists, in function order, every function whose
+    key of x is at or below its threshold, only functions whose key's top
+    16 bits are at or below the threshold's, and x's exact keys. The narrow
+    family keeps the low 17 bits of each hash, so most keys tie their
+    threshold's top 16 bits, below it and above it."""
+    fam = new_family(k, 60 + k)
+    if narrow:
+        fam = HashFamily.from_tables(fam.tables & 0x1FFFF)
+    ties = 0
+    for label, xs, sk in _candidate_states(fam, ell, k + ell):
+        sk._flush()
+        delta = sk._delta.copy()
+        every_top = (delta == TOP).all()
+        assert every_top == (label in ("empty", "short")), label
+        for x, keys in zip(xs.tolist(), fam.keys_many(xs)):
+            got = sk._candidates(x)
+            fns = [i for i, _ in got]
+            assert fns == sorted(set(fns)), (label, x)
+            assert set(np.flatnonzero(keys <= delta).tolist()) <= set(fns), (label, x)
+            assert (keys[fns] >> np.uint64(48) <= delta[fns] >> np.uint64(48)).all(), (label, x)
+            assert [key for _, key in got] == keys[fns].tolist(), (label, x)
+            assert len(fns) == k or not every_top, (label, x)
+            ties += int(((keys > delta) & (keys >> np.uint64(48) == delta >> np.uint64(48))).sum())
+    assert ties > 0 or not narrow
 
 
 def _bursty_ops(seed, ell):
