@@ -22,7 +22,7 @@ from .core import BufferedSketch
 from .errors import EmptyRowError
 from .hashing import HashFamily, new_family
 from .lsh import BandingParams, LshIndex, score_acp
-from .similarity import _as_set, estimate_jaccard, exact_jaccard, rmse
+from .similarity import _as_set, _jaccard, estimate_jaccard, exact_jaccard, rmse
 from .streams import (
     PairGenConfig,
     QueryEvent,
@@ -287,8 +287,8 @@ def _all_pairs_jaccard(sets: dict, ids: list) -> dict:
     """Exact Jaccard similarity of every pair of ``ids``, keyed in id order.
 
     Postings (element -> positions of the sets holding it) count each
-    pair's intersection; |A u B| = |A| + |B| - |A n B| then gives the same
-    floats as ``exact_jaccard``.
+    pair's intersection, and ``exact_jaccard``'s formula (``_jaccard``)
+    turns it into the same float.
     """
     members = [_as_set(sets[i]) for i in ids]
     postings: dict = {}
@@ -296,11 +296,9 @@ def _all_pairs_jaccard(sets: dict, ids: list) -> dict:
         for x in elements:
             postings.setdefault(x, []).append(pos)
     shared = Counter(pair for holders in postings.values() for pair in combinations(holders, 2))
-    sims = {}
-    for a, b in combinations(range(len(ids)), 2):
-        union = len(members[a]) + len(members[b]) - shared[a, b]
-        sims[ids[a], ids[b]] = shared[a, b] / union if union else 0.0
-    return sims
+    sizes = [len(m) for m in members]
+    return {(ids[a], ids[b]): _jaccard(shared[a, b], sizes[a], sizes[b])
+            for a, b in combinations(range(len(ids)), 2)}
 
 
 def acp_run(sets: dict, k: int, ell: int, banding: BandingParams, threshold: float,

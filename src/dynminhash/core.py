@@ -23,7 +23,7 @@ from operator import index
 import numpy as np
 
 from .errors import EmptySetError, RecoveryError
-from .hashing import MAX_UNIVERSE, HashFamily, as_element_set
+from .hashing import MAX_UNIVERSE, HashFamily, _sorted_set, as_element_set
 
 #: Sentinel key for the (+inf, +inf) pair; compares >= every real pair key.
 TOP = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -282,8 +282,8 @@ class BufferedSketch:
         if len(pending) < _MERGE_MIN:
             for x in pending:
                 self._insert_one(x)
-        else:
-            self._merge(as_element_set(pending))
+        else:  # insert checked each element
+            self._merge(_sorted_set(np.fromiter(pending, np.uint64, len(pending))))
 
     def _merge(self, xs: np.ndarray) -> None:
         """Insert the elements ``xs`` (``as_element_set`` output: sorted,

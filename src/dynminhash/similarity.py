@@ -38,13 +38,21 @@ def _as_set(a):
     return set(a.tolist()) if isinstance(a, np.ndarray) else set(a)
 
 
+def _jaccard(inter: int, size_a: int, size_b: int) -> float:
+    """Jaccard similarity from |A n B|, |A| and |B|: |A u B| is
+    |A| + |B| - |A n B|; 0.0 when both sets are empty."""
+    union = size_a + size_b - inter
+    return inter / union if union else 0.0
+
+
 def exact_jaccard(a, b) -> float:
-    """|A intersection B| / |A union B|; 0.0 when both sets are empty."""
+    """|A intersection B| / |A union B|; 0.0 when both sets are empty.
+
+    Only the intersection is built; the union's size follows from it
+    (``_jaccard``), so the floats equal len(a & b) / len(a | b).
+    """
     a, b = _as_set(a), _as_set(b)
-    union = len(a | b)
-    if union == 0:
-        return 0.0
-    return len(a & b) / union
+    return _jaccard(len(a & b), len(a), len(b))
 
 
 def rmse(pairs) -> float:

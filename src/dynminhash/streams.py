@@ -225,7 +225,10 @@ def read_stream(path) -> list:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            ops.append(StreamOp(int(parts[0]), int(parts[1]), int(parts[2])))
+            try:
+                ops.append(StreamOp(int(parts[0]), int(parts[1]), int(parts[2])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return ops
 
 

@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dynminhash import bench
 from dynminhash.cli import EXIT_CONFIG_ERROR, EXIT_DATA_ERROR, run
@@ -84,6 +86,19 @@ class TestBench:
         assert all(sims[a, b] == exact_jaccard(sets[a], sets[b]) for a, b in sims)
         assert sims[24, 25] == 0.5 and sims[24, 26] == 0.0
         assert sum(v > 0 for v in sims.values()) > len(sims) // 2
+
+    @given(st.lists(st.sets(st.integers(0, 30), max_size=20), max_size=7))
+    def test_all_pairs_jaccard_equals_definition_bit_for_bit(self, members):
+        """The postings path gives len(a & b) / len(a | b) for every pair,
+        the same float as the union built in full; 0.0 for two empty sets."""
+        sets = {i: m if i % 2 else np.array(sorted(m), dtype=np.uint64)
+                for i, m in enumerate(members)}
+        sims = bench._all_pairs_jaccard(sets, list(sets))
+        assert list(sims) == list(combinations(range(len(members)), 2))
+        for (a, b), got in sims.items():
+            union = len(members[a] | members[b])
+            want = len(members[a] & members[b]) / union if union else 0.0
+            assert got.hex() == want.hex()
 
     def test_acp_run_sampled_recall(self):
         sets, _ = bench.make_planted_acp_corpus(30, 3, seed=6, universe_bits=16,

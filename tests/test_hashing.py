@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dynminhash import hashing
+from dynminhash.core import TOP
 from dynminhash.hashing import (
     _GATHER_KEYS,
     HashFamily,
@@ -107,6 +108,40 @@ def test_keys_many_is_stored_function_major(k, n):
     # selection, so no value test would notice it.
     xs = np.arange(n, dtype=np.uint64)
     assert new_family(k, 1).keys_many(xs).T.flags.c_contiguous
+
+
+@pytest.mark.parametrize("k,narrow,block", [
+    (7, False, None), (7, False, 13), (256, False, None), (5, True, None), (5, True, 13)])
+def test_keys_below_is_the_brute_force_filter_by_function_then_element(monkeypatch, k, narrow,
+                                                                       block):
+    """``_keys_below`` returns exactly the keys at or below each function's
+    bound, ordered by function and then element: under random bounds,
+    bounds equal to a key or one below it, and bounds of TOP. The narrow
+    family keeps the low 17 bits of each hash, so most keys' top 16 bits tie
+    their bound's and the full comparison decides. A block of 13 elements
+    spreads the prefix filter over many gather blocks."""
+    fam = new_family(k, 300 + k)
+    if narrow:
+        fam = HashFamily.from_tables(fam.tables & 0x1FFFF)
+    if block is not None:
+        monkeypatch.setattr(hashing, "_GATHER_KEYS", block * k)
+    rng = np.random.default_rng(k)
+    xs = hashing.as_element_set(rng.integers(0, 1 << 32, size=400, dtype=np.uint64))
+    every = _nibble_keys(fam, xs).T  # (k, n): function i's keys in element order
+    top = np.full(k, TOP, dtype=np.uint64)
+    ties = 0
+    for trial in range(12):
+        drawn = every[np.arange(k), rng.integers(0, xs.size, size=k)]
+        choices = np.stack([
+            rng.integers(0, 1 << 64, size=k, dtype=np.uint64), drawn, drawn - np.uint64(1), top])
+        bound = choices[rng.integers(0, 4, size=k), np.arange(k)] if trial else top
+        fn_got, keys_got = fam._keys_below(xs, bound)
+        fn_want, j_want = np.nonzero(every <= bound[:, None])
+        assert np.array_equal(fn_got, fn_want)
+        assert np.array_equal(keys_got, every[fn_want, j_want])
+        ties += int(((every >> np.uint64(48) == (bound >> np.uint64(48))[:, None])
+                     & (every > bound[:, None])).sum())
+    assert ties > 0 or not narrow
 
 
 def test_keys_at_gathers_each_functions_own_elements():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dynminhash.core import Signature
 from dynminhash.hashing import new_family
@@ -85,6 +87,45 @@ class TestExactJaccard:
     def test_symmetry(self):
         a, b = {1, 2, 3, 4}, {3, 4, 5}
         assert exact_jaccard(a, b) == exact_jaccard(b, a)
+
+
+def _by_definition(a: set, b: set) -> float:
+    """len(a & b) / len(a | b), building both sets; 0.0 when both are empty."""
+    union = len(a | b)
+    return len(a & b) / union if union else 0.0
+
+
+def _as_form(xs: set, form: str):
+    """``xs`` as a set, a list with repeats in reverse order, or a uint64 array."""
+    if form == "set":
+        return set(xs)
+    if form == "list":
+        return sorted(xs, reverse=True) + sorted(xs)[:2]
+    return np.array(sorted(xs), dtype=np.uint64)
+
+
+_FORMS = st.sampled_from(("set", "list", "array"))
+
+
+@given(a=st.sets(st.integers(0, 60), max_size=40), b=st.sets(st.integers(0, 60), max_size=40),
+       relation=st.sampled_from(("drawn", "identical", "disjoint", "empty", "both-empty")),
+       form_a=_FORMS, form_b=_FORMS)
+def test_exact_jaccard_equals_definition_bit_for_bit(a, b, relation, form_a, form_b):
+    """The intersection-only formula returns the float that building the
+    union gives, for every input form, and 0.0 for two empty sets."""
+    if relation == "identical":
+        b = set(a)
+    elif relation == "disjoint":
+        b = {x + 100 for x in b}
+    elif relation == "empty":
+        b = set()
+    elif relation == "both-empty":
+        a = b = set()
+    got = exact_jaccard(_as_form(a, form_a), _as_form(b, form_b))
+    assert type(got) is float
+    assert got.hex() == _by_definition(a, b).hex()
+    if not a and not b:
+        assert got == 0.0
 
 
 class TestRmse:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,18 @@ class TestStreamFiles:
         path = tmp_path / "bad.tsv"
         path.write_text("0\t5\n")
         with pytest.raises(ValueError):
+            read_stream(path)
+
+    def test_non_integer_field_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("# header\n0\t5\t+1\n0\tx\t+1\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: invalid literal"):
+            read_stream(path)
+
+    def test_op_other_than_plus_minus_one_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("0\t5\t2\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: op must be \+1 or -1, got 2$"):
             read_stream(path)
 
 
