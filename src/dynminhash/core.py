@@ -18,6 +18,7 @@ from __future__ import annotations
 import struct
 import sys
 from bisect import bisect_left
+from itertools import chain
 from operator import index
 
 import numpy as np
@@ -59,6 +60,18 @@ _MERGE_MIN = 64
 #: with the cap, 47.3 MB at 1024, 50.0 at 2048, 53.7 at 4096 and 61.9 at
 #: 8192, against 53.3 MB per-op, whose fault rebuilds run here too.
 _PENDING_CAP = 4096
+
+#: A merge into empty rows of n >= _BOUND_MIN * ell elements keys only the
+#: pairs at or below one bound (``BufferedSketch._fill``); a smaller one
+#: keys all k * n pairs and partitions them. The bound's prefix scan and
+#: its grouping cost more than keying everything on small sets. Measured
+#: at k=256, ell=32 on a 2-vCPU host, keyed in full against bounded: 0.74
+#: against 1.47 ms at 300 elements, 2.12 against 2.16 at 1100, 2.52
+#: against 2.28 at 1300 and 5.47 against 2.56 at 4096; so the crossover
+#: is at 1000-1300 elements. It falls later per unit of ell at small ell
+#: (about 400 elements at ell=8, 160 at ell=2), where more rows have too
+#: few pairs under the bound.
+_BOUND_MIN = 40
 
 
 def _recover(recover, x: int) -> np.ndarray:
@@ -183,17 +196,32 @@ class BufferedSketch:
         """Build the sketch of ``elements`` from scratch.
 
         Duplicate elements are tolerated and deduplicated; elements are
-        checked as ``hashing.as_element_set`` checks them. One hash
-        evaluation per (element, function) pair, merged into the empty
-        sketch in blocks of _PENDING_CAP elements (``_merge``), so the
-        working memory is one block of keys whatever |A| is: a traced peak
-        of 9 MiB at k=256 and 65 MiB at k=2000.
+        checked as ``hashing.as_element_set`` checks them. Merged into the
+        empty sketch by ``_merge``: a set of at least _BOUND_MIN * ell
+        elements keys only the pairs under one bound, in 2^17-pair blocks;
+        a smaller one keys all of its pairs. The working memory is some
+        40 bytes per element plus one block: a traced peak of 3.5 MiB for
+        2^16 elements at k=256, ell=32.
         """
         sketch = cls(family, ell)
         sketch._merge(as_element_set(elements))
         return sketch
 
     # -- stream operations -------------------------------------------------
+
+    def _index_arrays(self) -> tuple:
+        """(elements, entries): one pair per buffered key, ordered by
+        element and, within an element, by row; an entry is as
+        ``_element_index`` stores it."""
+        in_size = np.arange(self.ell)[None, :] < self._size[:, None]
+        held = self._buf[in_size]  # in row order
+        # One sort of (element, place in held), packed in 64 bits while
+        # held has fewer than 2^32 keys; the place keeps each element's
+        # rows in order.
+        order = np.sort((held << _SHIFT) | np.arange(held.size, dtype=np.uint64)) & _LOW
+        rows = in_size.nonzero()[0].astype(np.uint64)[order]
+        held = held[order]
+        return held & _LOW, (held & ~_LOW) | rows
 
     def _element_index(self) -> dict:
         """Each buffered element -> its row entries, in row order.
@@ -208,13 +236,23 @@ class BufferedSketch:
         insert keeps it exact, and a delete moves x's entries to the removal
         queue. Both callers that drop it leave that queue empty, so the
         rows it is built from hold no deleted key.
+
+        Built from ``_index_arrays``: elements that one row holds, most of
+        them, go in at once, and only those of several rows are looped.
         """
-        in_size = np.arange(self.ell)[None, :] < self._size[:, None]
-        held = self._buf[in_size]
-        rows = in_size.nonzero()[0].astype(np.uint64)
-        where = {}
-        for x, e in zip((held & _LOW).tolist(), ((held & ~_LOW) | rows).tolist()):
-            where.setdefault(x, []).append(e)
+        xs, es = self._index_arrays()
+        # first[j]: xs[j] starts its element's run; first[j + 1]: xs[j] ends it.
+        first = np.empty(xs.size + 1, dtype=bool)
+        first[0] = first[-1] = True
+        np.not_equal(xs[1:], xs[:-1], out=first[1:-1])
+        alone = first[:-1] & first[1:]
+        where = dict(zip(xs[alone].tolist(), es[alone, None].tolist()))
+        several = ~alone
+        if several.any():
+            starts = np.flatnonzero(first[:-1][several]).tolist()
+            xs, es = xs[several].tolist(), es[several].tolist()
+            for a, b in zip(starts, starts[1:] + [len(xs)]):
+                where[xs[a]] = es[a:b]
         return where
 
     def _candidates(self, x: int):
@@ -294,22 +332,29 @@ class BufferedSketch:
         During inserts a threshold only falls, and a row that fills keeps
         its smallest keys. So row i ends as the smallest min(ell, .) of its
         keys and the new keys at or below its threshold at the start, and
-        a row that ends full takes its last key as threshold. Elements are
-        hashed _PENDING_CAP at a time, and only a block's ell smallest keys
-        per row can enter the row. Once every row holds keys and has a
-        threshold below TOP (every flush after the first fill, and every
-        block of a rebuild after its first), only the keys at or below the
-        thresholds are built (``HashFamily._keys_below``); until then every
-        key of the block is.
+        a row that ends full takes its last key as threshold. Into empty
+        rows, at least _BOUND_MIN * ell elements go through ``_fill`` in one
+        pass: it keys only the pairs whose hash is at most 7 ell / (4 n) *
+        2^32, which hold each row's ell smallest keys unless fewer than
+        ell of the row's pairs fall under it, and keys such a row in full.
+        Otherwise, or if ``_fill`` gives up on a family whose hashes crowd
+        under that bound, elements are hashed _PENDING_CAP at a time, and
+        only a block's ell smallest keys per row can enter the row. Once
+        every row holds keys and has a threshold below TOP (every flush
+        after the first fill, and every block of a rebuild after its
+        first), only the keys at or below the thresholds are built
+        (``HashFamily._keys_below``); until then every key of the block is.
         """
         self._where = None
+        if not self._sizev[0] and xs.size >= _BOUND_MIN * self.ell and self._fill(xs):
+            return
         k, ell, size, delta = self.family.k, self.ell, self._size, self._delta
         for start in range(0, xs.size, _PENDING_CAP):
             block = xs[start:start + _PENDING_CAP]
             if self._sizev[0] and (delta != TOP).all():
                 # Every threshold is below TOP, so no TOP key can enter,
                 # and none is buffered.
-                keys, top = self._admitted(block), False
+                keys, top = self._by_row(*self.family._keys_below(block, delta)), False
             else:
                 keys = self.family.keys_many(block).T  # (k, block)
                 # Only x = 2^32 - 1, the last element, can have a key equal to
@@ -340,11 +385,50 @@ class BufferedSketch:
             delta[full] = self._buf[full, ell - 1]
             del keys, rows  # freed before the next block is hashed
 
-    def _admitted(self, xs: np.ndarray) -> np.ndarray:
-        """The keys of ``xs`` at or below each row's threshold, as a (k, m)
-        array padded with TOP: row i holds function i's keys, at most the
-        ell smallest."""
-        fn, keys = self.family._keys_below(xs, self._delta)
+    def _fill(self, xs: np.ndarray) -> bool:
+        """Fill the empty rows with the ell smallest keys of ``xs``, at least
+        _BOUND_MIN * ell elements, keying only the pairs under one bound;
+        False, with the rows left empty, if too many pairs pass its prefix.
+
+        Hashes are uniform, so with n = |xs| each row expects mu = 7 ell / 4
+        keys at or below the bound B of hash mu / n * 2^32, and B is far
+        below TOP. A row with at least ell of them takes its ell smallest:
+        they are the row's smallest keys, whatever the hashes. Only a row
+        with fewer (about 0.1 rows per merge at k=256, ell=32; every row of
+        a family whose hashes all exceed B) keys all n of its pairs, at most
+        _PENDING_CAP * k keys at a time, as a block of ``_merge`` holds.
+        Every row ends full, since n > ell. A pair that passes the prefix
+        test takes about four 8-byte words on its way to a key, so the scan
+        gives up past a quarter of a block's pairs, _PENDING_CAP * k / 4,
+        against about k * (mu + n / 2^16) for uniform hashes: a family
+        whose hashes crowd under B (say, all below 2^17) goes through
+        ``_merge``'s blocks instead, in bounded memory.
+        """
+        family, k, ell, n = self.family, self.family.k, self.ell, xs.size
+        bound = ((7 * ell << 32) // (4 * n)) << 32 | 0xFFFFFFFF
+        found = family._keys_under(xs, bound, _PENDING_CAP * k // 4)
+        if found is None:
+            return False
+        got = self._by_row(*found)
+        rows = np.full((k, ell), TOP, dtype=np.uint64)
+        rows[:, :got.shape[1]] = got
+        short = np.flatnonzero(rows[:, ell - 1] == TOP)  # no key under B is TOP
+        step = max(1, _PENDING_CAP * k // n)
+        for start in range(0, short.size, step):
+            fns = short[start:start + step]
+            every = np.left_shift(family._hashes(xs[None, :], fns[:, None]), 32, dtype=np.uint64)
+            every |= xs
+            every.partition(ell - 1, axis=1)
+            rows[fns] = every[:, :ell]
+        rows.sort(axis=1)
+        self._buf[:] = rows
+        self._size[:] = ell
+        self._delta[:] = rows[:, ell - 1]
+        return True
+
+    def _by_row(self, fn: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """The pairs (fn, keys), ordered by fn, as a (k, m) array padded
+        with TOP: row i holds function i's keys, at most the ell smallest."""
         counts = np.bincount(fn, minlength=self.family.k)
         out = np.full((self.family.k, counts.max()), TOP, dtype=np.uint64)
         # fn is ordered, so a key's place in its row is its place in fn
@@ -507,9 +591,23 @@ class BufferedSketch:
                 bad.append("(iii) some buffers are empty and some are not")
             elif (delta != TOP).any():
                 bad.append("(iii) every buffer is empty but some threshold is not TOP")
-        if self._where is not None and self._where != self._element_index():
+        if self._where is not None and not self._index_matches():
             bad.append("(internal) the element index differs from the buffers")
         return bad
+
+    def _index_matches(self) -> bool:
+        """Whether the built element index equals the one the buffers
+        imply, entries and their row order included, without building it:
+        the index, flattened and stably sorted by element, against
+        ``_index_arrays``."""
+        where, (xs, es) = self._where, self._index_arrays()
+        sizes = np.fromiter(map(len, where.values()), np.int64, len(where))
+        if sizes.sum() != xs.size or not sizes.all():
+            return False
+        got_x = np.repeat(np.fromiter(where, np.uint64, len(where)), sizes)
+        got_e = np.fromiter(chain.from_iterable(where.values()), np.uint64, xs.size)
+        order = np.argsort(got_x, kind="stable")
+        return np.array_equal(got_x[order], xs) and np.array_equal(got_e[order], es)
 
     def check_invariants(self, authoritative) -> InvariantReport:
         """Brute-force verification of the structural invariants.

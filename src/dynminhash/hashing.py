@@ -20,7 +20,7 @@ _U64 = (1 << 64) - 1
 
 #: Keys per gather block in ``HashFamily.keys_many`` (512 KiB of uint32),
 #: per block of ``HashFamily.min_hashes`` (1 MiB of uint64) and per prefix
-#: block of ``HashFamily._keys_below`` (256 KiB of uint16).
+#: block of ``HashFamily._prefix_keys`` (256 KiB of uint16).
 _GATHER_KEYS = 1 << 17
 
 # splitmix64 constants, used to derive independent per-function subseeds from
@@ -44,7 +44,10 @@ def as_element(x) -> int:
 def _as_elements(elements) -> np.ndarray:
     """``elements`` in order, repeats kept, as a contiguous uint64 array;
     checked as ``as_element_set`` documents, by one min/max pass."""
-    xs = elements if isinstance(elements, np.ndarray) else np.asarray(list(elements))
+    if isinstance(elements, np.ndarray):
+        xs = elements
+    else:  # a list or tuple converts as it is; any other iterable is listed first
+        xs = np.asarray(elements if isinstance(elements, (list, tuple)) else list(elements))
     if xs.size == 0:
         return np.empty(0, dtype=np.uint64)
     if xs.dtype.kind not in "iu":
@@ -130,6 +133,8 @@ class HashFamily:
         t = np.ascontiguousarray(tables, dtype=np.uint32)
         if t.ndim != 3 or t.shape[1:] != (8, 16):
             raise ValueError(f"tables must have shape (k, 8, 16), got {t.shape}")
+        if t.shape[0] < 1:
+            raise ValueError(f"family size k must be >= 1, got {t.shape[0]}")
         obj = cls.__new__(cls)
         obj._adopt(t, master_seed)
         return obj
@@ -224,27 +229,31 @@ class HashFamily:
         out |= xs
         return out.T
 
-    def _keys_below(self, xs, bound) -> tuple:
+    def _prefix_keys(self, xs, limit, cap=None):
         """(fn, keys): the pair keys of ``xs`` (nonempty, uint64) under each
-        function i that are <= ``bound[i]``, ordered by fn, then by element.
+        function i whose hash's top 16 bits are <= ``limit`` (uint16, one
+        per function or one for all), ordered by fn, then by element; None
+        as soon as more than ``cap`` pairs pass, when a cap is given.
 
-        Comparing each hash's top 16 bits (``_prefix_tables``) with the
-        bound's passes every key at or below it, and the few above it that
-        share its top bits, so only the pairs that pass are keyed and
-        compared in full. Prefixes are gathered 2^17 at a time (256 KiB), a
-        block that stays in cache.
+        As tabulation is a plain XOR, the top 16 bits of every hash are the
+        XOR of four ``_prefix_tables`` entries, so only the pairs that pass
+        are keyed. Prefixes are gathered 2^17 at a time (256 KiB), a block
+        that stays in cache, so the scan holds a few bytes per element of
+        ``xs`` beyond the pairs that pass.
         """
         k = self.k
         q = self._prefix_tables()
         byte = [((xs >> np.uint64(8 * t)) & np.uint64(255)).astype(np.intp) for t in range(4)]
-        limit = (bound >> np.uint64(48)).astype(np.uint16)
         step = max(1, _GATHER_KEYS // k)
-        hits = []
+        hits, passed = [], 0
         for start in range(0, xs.size, step):
             top = q[0][byte[0][start:start + step]]  # (step, k)
             for t in (1, 2, 3):
                 top ^= q[t][byte[t][start:start + step]]
             hits.append(np.flatnonzero(top <= limit) + start * k)
+            passed += hits[-1].size
+            if cap is not None and passed > cap:
+                return None
         # Function-major flat indices sort into (function, element) order.
         j, fn = np.divmod(np.concatenate(hits), k)
         fn, j = np.divmod(np.sort(fn * xs.size + j), xs.size)
@@ -254,7 +263,33 @@ class HashFamily:
             h ^= flat[(256 * t + byte[t][j]) * k + fn]
         keys = np.left_shift(h, 32, dtype=np.uint64)
         keys |= xs[j]
+        return fn, keys
+
+    def _keys_below(self, xs, bound) -> tuple:
+        """(fn, keys): the pair keys of ``xs`` (nonempty, uint64) under each
+        function i that are <= ``bound[i]``, ordered by fn, then by element.
+
+        A hash whose top 16 bits are at most the bound's passes every key at
+        or below it, and the few above it that share its top bits, so only
+        the pairs that pass (``_prefix_keys``) are keyed and compared in
+        full. A merge into rows that hold thresholds runs here.
+        """
+        fn, keys = self._prefix_keys(xs, (bound >> np.uint64(48)).astype(np.uint16))
         below = keys <= bound[fn]
+        return fn[below], keys[below]
+
+    def _keys_under(self, xs, bound: int, cap: int):
+        """``_keys_below`` with one ``bound`` (a key below TOP) for every
+        function, or None when more than ``cap`` pairs pass the prefix test,
+        which bounds the memory for a family whose hashes crowd under the
+        bound. A merge into empty rows runs here, on a bound drawn from the
+        size of ``xs`` rather than from any row.
+        """
+        found = self._prefix_keys(xs, np.uint16(bound >> 48), cap)
+        if found is None:
+            return None
+        fn, keys = found
+        below = keys <= np.uint64(bound)
         return fn[below], keys[below]
 
     def keys_at(self, xs) -> np.ndarray:

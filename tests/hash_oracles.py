@@ -59,3 +59,12 @@ def fn(family, i: int) -> TabulationHash:
     isolation as TabulationHash(derive_seed(master_seed, i)).
     """
     return TabulationHash.from_tables(family.tables[i], derive_seed(family.master_seed, i))
+
+
+def nibble_keys(family, xs) -> np.ndarray:
+    """(n, k) pair keys of the uint64 array ``xs``, evaluated over the 8
+    nibble tables of ``family``, vectorised."""
+    h = np.zeros((family.k, xs.size), dtype=np.uint64)
+    for t in range(8):
+        h ^= family.tables[:, t, ((xs >> np.uint64(4 * t)) & np.uint64(15)).astype(np.intp)]
+    return ((h << np.uint64(32)) | xs).T

@@ -15,7 +15,7 @@ from dynminhash.hashing import HashFamily, new_family
 from dynminhash.streams import SetStore, StreamOp
 
 from conftest import ref_signature
-from hash_oracles import fn
+from hash_oracles import fn, nibble_keys
 from sketch_reads import buffer_contents, split_key, state_equal, threshold, total_buffered
 
 
@@ -607,15 +607,26 @@ def test_bulk_paths_match_across_block_sizes(monkeypatch, family, cap):
 
 
 def test_bulk_paths_hold_bounded_memory():
-    """Traced peak of init, min_hashes and check_invariants over 2^16
-    elements at k=256: the keys are hashed in blocks, not all at once
-    (128 MiB)."""
+    """Traced peak of init (also under a family whose hashes all crowd
+    under the bound of a merge into empty rows), min_hashes,
+    check_invariants and a fault's rebuild over 2^16 elements at k=256: the
+    keys are hashed in blocks, not all at once (128 MiB)."""
     fam = new_family(256, 1)
     fam.key_one(0)  # builds the byte tables outside the traced region
     xs = np.random.default_rng(16).choice(1 << 32, size=1 << 16, replace=False).astype(np.uint64)
     sketch = BufferedSketch.init(xs, fam, 32)
+    lone = int(np.setdiff1d(np.arange(2, dtype=np.uint64), xs)[0])
+
+    def fault_rebuild():
+        rebuilt = BufferedSketch.init([lone], fam, 32)
+        rebuilt.delete(lone, lambda: xs)
+        assert rebuilt.fault_count == 1
+
+    narrow = HashFamily.from_tables(fam.tables & 0x1FFFF)  # every pair passes the prefix test
+    narrow.key_one(0)
     for run, limit in ((lambda: BufferedSketch.init(xs, fam, 32), 32), (lambda: fam.min_hashes(xs), 16),
-                       (lambda: sketch.check_invariants(xs), 32)):
+                       (lambda: sketch.check_invariants(xs), 32), (fault_rebuild, 32),
+                       (lambda: BufferedSketch.init(xs, narrow, 32), 32)):
         tracemalloc.start()
         try:
             run()
@@ -623,6 +634,118 @@ def test_bulk_paths_hold_bounded_memory():
         finally:
             tracemalloc.stop()
         assert peak < limit * 2**20
+
+
+def _bounded_states(fam, ell, xs, rng):
+    """(per-op model, init, fault rebuild) of the elements ``xs``: the
+    model inserts them one by one in a random order, ``init`` merges them
+    into empty rows, and so does the rebuild when the delete of the only
+    element of a sketch faults with ``xs`` recovered."""
+    model = _BufferModel(fam, ell)
+    # The model's keys of xs, from the nibble tables at once, vectorised.
+    model.keys = dict(zip(xs.tolist(), nibble_keys(fam, xs).tolist())).__getitem__
+    for x in rng.permutation(xs).tolist():
+        model.insert(x)
+    lone = int(np.setdiff1d(np.arange(len(xs) + 1, dtype=np.uint64), xs)[0])
+    rebuilt = BufferedSketch.init([lone], fam, ell)
+    rebuilt.delete(lone, lambda: xs.tolist())
+    assert rebuilt.fault_count == 1
+    return model, BufferedSketch.init(xs, fam, ell), rebuilt
+
+
+def _spy_keys_under(monkeypatch):
+    """The pairs count of every ``HashFamily._keys_under`` call, None for
+    one that gave up."""
+    calls = []
+    keys_under = HashFamily._keys_under
+
+    def observed(family, xs, bound, cap):
+        found = keys_under(family, xs, bound, cap)
+        calls.append(None if found is None else found[0].size)
+        return found
+
+    monkeypatch.setattr(HashFamily, "_keys_under", observed)
+    return calls
+
+
+class TestBoundedFill:
+    """A merge into empty rows of at least _BOUND_MIN * ell elements keys
+    only the pairs under one bound (``BufferedSketch._fill``), and keys a
+    row in full when fewer than ell of its pairs are under it. ``init``
+    and a fault's rebuild must leave the per-op inserts' state on either
+    side of that size."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_init_and_fault_rebuild_match_per_op_inserts(self, data):
+        kind = data.draw(st.sampled_from(["random", "narrow", "top_key"]), label="family")
+        ell = data.draw(st.sampled_from([1, 2, 32]), label="ell")
+        cut = core._BOUND_MIN * ell
+        n = data.draw(st.one_of(st.integers(cut - 2, cut + 1), st.integers(cut // 2, 2 * cut)),
+                      label="n")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        if kind == "top_key":
+            fam = _top_key_family()  # the key of 2^32 - 1 under function 0 is TOP
+        else:
+            fam = new_family(data.draw(st.sampled_from([1, 5, 256]), label="k"), seed)
+            if kind == "narrow":  # the low 17 bits of each hash
+                fam = HashFamily.from_tables(fam.tables & 0x1FFFF)
+        rng = np.random.default_rng(seed)
+        xs = rng.choice(1 << 32, size=n, replace=False).astype(np.uint64)
+        if data.draw(st.booleans(), label="with 2^32 - 1") or kind == "top_key":
+            xs[0] = 2**32 - 1
+        xs = np.unique(xs)
+        with pytest.MonkeyPatch.context() as m:
+            calls = _spy_keys_under(m)
+            model, built, rebuilt = _bounded_states(fam, ell, xs, rng)
+        assert len(calls) == (2 if xs.size >= cut else 0)
+        model.assert_matches(built)
+        assert rebuilt.to_bytes() == built.to_bytes()
+        assert built._structure_faults() == []
+
+    @pytest.mark.parametrize("raised", ["every", "some"])
+    @pytest.mark.parametrize("cap", [None, 97])
+    def test_rows_with_too_few_pairs_under_the_bound_are_keyed_in_full(self, monkeypatch,
+                                                                         raised, cap):
+        """Every hash of the raised functions is at least 2^31, far above
+        the bound, so their rows take the full keying; a cap of 97 keys
+        them a row at a time."""
+        k, ell = 7, 4
+        tables = new_family(k, 71).tables.copy()
+        fns = np.arange(k) if raised == "every" else np.array([0, 3, 6])
+        tables[fns] &= 0x7FFFFFFF
+        tables[fns, 0] |= 0x80000000
+        fam = HashFamily.from_tables(tables)
+        if cap is not None:
+            monkeypatch.setattr(core, "_PENDING_CAP", cap)
+        rng = np.random.default_rng(72)
+        xs = np.unique(rng.choice(1 << 32, size=3 * core._BOUND_MIN * ell, replace=False)
+                       .astype(np.uint64))
+        calls = _spy_keys_under(monkeypatch)
+        model, built, rebuilt = _bounded_states(fam, ell, xs, rng)
+        assert len(calls) == 2 and calls[0] == calls[1] and (calls[0] == 0) == (raised == "every")
+        assert (built._buf[fns] >> np.uint64(63) == 1).all()
+        model.assert_matches(built)
+        assert rebuilt.to_bytes() == built.to_bytes()
+
+    @pytest.mark.parametrize("cap", [None, 97])
+    def test_crowded_prefixes_give_up_for_the_blocks(self, monkeypatch, cap):
+        """Under the narrow family (the low 17 bits of each hash) every
+        pair is under the bound. With a cap of 97 that is more pairs than
+        the prefix scan keeps, so it gives up, and the blocks of ``_merge``
+        leave the same state."""
+        k, ell = 7, 4
+        fam = HashFamily.from_tables(new_family(k, 73).tables & 0x1FFFF)
+        if cap is not None:
+            monkeypatch.setattr(core, "_PENDING_CAP", cap)
+        rng = np.random.default_rng(74)
+        xs = np.unique(rng.choice(1 << 32, size=3 * core._BOUND_MIN * ell, replace=False)
+                       .astype(np.uint64))
+        calls = _spy_keys_under(monkeypatch)
+        model, built, rebuilt = _bounded_states(fam, ell, xs, rng)
+        assert calls == [None if cap else k * xs.size] * 2
+        model.assert_matches(built)
+        assert rebuilt.to_bytes() == built.to_bytes()
 
 
 class TestSignature:

@@ -14,7 +14,7 @@ import pytest
 from dynminhash.baselines import BssSketch, VanillaSketch
 from dynminhash.core import BufferedSketch
 from dynminhash.errors import RecoveryError
-from dynminhash.hashing import new_family
+from dynminhash.hashing import as_element_set, new_family
 
 FAMILY = new_family(4, 1)
 
@@ -117,6 +117,19 @@ def test_recovery_result_rejected_before_any_counter_moves(make, bad_name):
 @pytest.mark.parametrize("init_name", INITS)
 def test_empty_input_is_the_empty_set(init_name, empty):
     assert INITS[init_name](empty).to_bytes() == EMPTY[init_name]().to_bytes()
+
+
+def test_any_iterable_gives_the_same_set_and_errors():
+    # A list or tuple goes to numpy as it is; other iterables are listed first.
+    want = as_element_set(np.array([9, 3, 3, 2**32 - 1], dtype=np.uint64))
+    for xs in ([9, 3, 3, 2**32 - 1], (9, 3, 3, 2**32 - 1), iter([9, 3, 3, 2**32 - 1]),
+               {9, 3, 2**32 - 1}, np.array([9, 3, 2**32 - 1], dtype=np.int64)):
+        assert np.array_equal(as_element_set(xs), want)
+    for bad, _, error in BAD.values():
+        if not isinstance(bad, np.ndarray):
+            for wrap in (list, tuple, iter):
+                with pytest.raises(error):
+                    as_element_set(wrap([3, bad]))
 
 
 def test_found_reproductions():

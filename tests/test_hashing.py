@@ -12,7 +12,7 @@ from dynminhash.hashing import (
     new_pairwise,
 )
 
-from hash_oracles import TabulationHash, fn
+from hash_oracles import TabulationHash, fn, nibble_keys
 
 
 def unrolled_eval(tables, x):
@@ -77,14 +77,6 @@ def test_vectorised_paths_match_scalar():
             assert fn(fam, i)(int(x)) == ref
 
 
-def _nibble_keys(fam, xs):
-    """(n, k) pair keys evaluated over the 8 nibble tables, vectorised."""
-    h = np.zeros((fam.k, xs.size), dtype=np.uint64)
-    for t in range(8):
-        h ^= fam.tables[:, t, ((xs >> np.uint64(4 * t)) & np.uint64(15)).astype(np.intp)]
-    return ((h << np.uint64(32)) | xs).T
-
-
 @pytest.mark.parametrize("k", [1, 3, 256])
 def test_keys_many_matches_nibble_tables_across_gather_blocks(k):
     fam = new_family(k, 100 + k)
@@ -95,7 +87,7 @@ def test_keys_many_matches_nibble_tables_across_gather_blocks(k):
         xs[:1] = (1 << 32) - 1
         got = fam.keys_many(xs)
         assert got.shape == (n, k)
-        assert np.array_equal(got, _nibble_keys(fam, xs))
+        assert np.array_equal(got, nibble_keys(fam, xs))
         for j in {0, n - 1} if n else ():
             x = int(xs[j])
             assert [int(v) for v in got[j]] == [(fn(fam, i)(x) << 32) | x for i in range(k)]
@@ -127,7 +119,7 @@ def test_keys_below_is_the_brute_force_filter_by_function_then_element(monkeypat
         monkeypatch.setattr(hashing, "_GATHER_KEYS", block * k)
     rng = np.random.default_rng(k)
     xs = hashing.as_element_set(rng.integers(0, 1 << 32, size=400, dtype=np.uint64))
-    every = _nibble_keys(fam, xs).T  # (k, n): function i's keys in element order
+    every = nibble_keys(fam, xs).T  # (k, n): function i's keys in element order
     top = np.full(k, TOP, dtype=np.uint64)
     ties = 0
     for trial in range(12):
@@ -142,6 +134,28 @@ def test_keys_below_is_the_brute_force_filter_by_function_then_element(monkeypat
         ties += int(((every >> np.uint64(48) == (bound >> np.uint64(48))[:, None])
                      & (every > bound[:, None])).sum())
     assert ties > 0 or not narrow
+
+
+@pytest.mark.parametrize("k,narrow", [(7, False), (256, False), (5, True)])
+def test_keys_under_is_the_brute_force_filter_under_one_bound(k, narrow):
+    """``_keys_under`` returns exactly the keys at or below one bound for
+    every function, ordered by function and then element, for bounds
+    drawn at random, equal to a key and one below a key; and None once
+    more pairs pass the prefix test than its cap."""
+    fam = new_family(k, 400 + k)
+    if narrow:
+        fam = HashFamily.from_tables(fam.tables & 0x1FFFF)
+    rng = np.random.default_rng(k)
+    xs = hashing.as_element_set(rng.integers(0, 1 << 32, size=400, dtype=np.uint64))
+    every = nibble_keys(fam, xs).T
+    drawn = every[rng.integers(0, k, size=4), rng.integers(0, xs.size, size=4)]
+    for bound in [*rng.integers(0, 1 << 64, size=4, dtype=np.uint64), *drawn, *(drawn - 1)]:
+        fn_got, keys_got = fam._keys_under(xs, int(bound), every.size)
+        fn_want, j_want = np.nonzero(every <= bound)
+        assert np.array_equal(fn_got, fn_want)
+        assert np.array_equal(keys_got, every[fn_want, j_want])
+        passing = int((every >> np.uint64(48) <= bound >> np.uint64(48)).sum())
+        assert fam._keys_under(xs, int(bound), passing - 1) is None or passing == 0
 
 
 def test_keys_at_gathers_each_functions_own_elements():
@@ -244,3 +258,11 @@ def test_from_tables_shape_validation():
         TabulationHash.from_tables(np.zeros((4, 16), dtype=np.uint32))
     with pytest.raises(ValueError):
         HashFamily.from_tables(np.zeros((2, 8, 15), dtype=np.uint32))
+
+
+def test_from_tables_rejects_an_empty_family():
+    # Once accepted, and every sketch over it failed in its memoryview casts.
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        HashFamily.from_tables(np.zeros((0, 8, 16), dtype=np.uint32))
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        HashFamily(0, 1)
