@@ -310,9 +310,11 @@ def acp_run(sets: dict, k: int, ell: int, banding: BandingParams, threshold: flo
     computed (full ground truth). Otherwise only returned pairs are graded
     exactly and recall is estimated from a uniform sample of non-returned
     pairs, reported together with a 95% confidence interval; this is the
-    documented fallback for corpora too large for full ground truth.
-    Returns (pair_rows, summary_dict).
+    documented fallback for corpora too large for full ground truth; a
+    sample below 1 raises ValueError. Returns (pair_rows, summary_dict).
     """
+    if negative_sample is not None and negative_sample < 1:
+        raise ValueError(f"negative_sample must be at least 1, got {negative_sample}")
     _, sigs = build_signatures(sets, k, ell, seed, sketch, universe_bits)
     index = LshIndex(banding)
     for set_id, sig in sigs.items():

@@ -131,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("acp", parents=[common],
                        help="all-candidate-pairs over graph neighborhoods or a synthetic corpus")
     p.add_argument("--edges", default=None, help="SNAP edge list path")
-    p.add_argument("--top-v", type=int, default=5000, help="highest-out-degree centers to keep")
+    p.add_argument("--top-v", type=_positive_int, default=5000,
+                   help="highest-out-degree centers to keep, at least 1")
     p.add_argument("--radius", type=int, default=1, choices=(1, 2), help="ball radius")
     p.add_argument("--synthetic-sets", type=_positive_int, default=None,
                    help="use a synthetic corpus of this many sets instead of --edges, "
@@ -144,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-p1", type=float, default=0.8,
                    help="candidate probability target when deriving (b, r)")
     p.add_argument("--sketch", default="bmh", choices=("bmh", "vanilla", "bss"))
-    p.add_argument("--sample-negatives", type=int, default=None,
-                   help="estimate recall from this many sampled non-returned pairs")
+    p.add_argument("--sample-negatives", type=_positive_int, default=None,
+                   help="estimate recall from this many sampled non-returned pairs, at least 1")
     p.add_argument("--summary-out", default=None, help="write the summary row here (CSV/JSON)")
 
     p = sub.add_parser("gen-stream", parents=[common],
@@ -166,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("load-balls", parents=[common],
                        help="neighborhood sets of the highest-out-degree vertices")
     p.add_argument("--edges", required=True, help="SNAP edge list path")
-    p.add_argument("--top-v", type=int, default=5000)
+    p.add_argument("--top-v", type=_positive_int, default=5000,
+                   help="highest-out-degree centers to keep, at least 1")
     p.add_argument("--radius", type=int, default=1, choices=(1, 2))
     p.add_argument("--include-center", action="store_true")
     p.add_argument("--sets-out", default=None, help="write the balls as an insert stream")

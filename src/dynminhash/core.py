@@ -61,11 +61,13 @@ _MERGE_MIN = 64
 #: 8192, against 53.3 MB per-op, whose fault rebuilds run here too.
 _PENDING_CAP = 4096
 
-#: A merge into empty rows of n >= _BOUND_MIN * ell elements keys only the
-#: pairs at or below one bound (``BufferedSketch._fill``); a smaller one
-#: keys all k * n pairs and partitions them. The bound's prefix scan and
-#: its grouping cost more than keying everything on small sets. Measured
-#: at k=256, ell=32 on a 2-vCPU host, keyed in full against bounded: 0.74
+#: A fill of empty rows (``BufferedSketch._fill``: ``init``, a fault's
+#: rebuild, a flush into rows that hold the whole set) of n >= _BOUND_MIN *
+#: ell elements keys only the pairs at or below one bound; a smaller one
+#: keys all the pairs of its first _PENDING_CAP elements and partitions
+#: them. The bound's prefix scan and its grouping cost more than keying
+#: everything on small sets. Measured at k=256, ell=32 on a 2-vCPU host,
+#: keyed in full against bounded: 0.74
 #: against 1.47 ms at 300 elements, 2.12 against 2.16 at 1100, 2.52
 #: against 2.28 at 1300 and 5.47 against 2.56 at 4096; so the crossover
 #: is at 1000-1300 elements. It falls later per unit of ell at small ell
@@ -196,12 +198,13 @@ class BufferedSketch:
         """Build the sketch of ``elements`` from scratch.
 
         Duplicate elements are tolerated and deduplicated; elements are
-        checked as ``hashing.as_element_set`` checks them. Merged into the
+        checked as ``hashing.as_element_set`` checks them. Filled into the
         empty sketch by ``_merge``: a set of at least _BOUND_MIN * ell
         elements keys only the pairs under one bound, in 2^17-pair blocks;
-        a smaller one keys all of its pairs. The working memory is some
-        40 bytes per element plus one block: a traced peak of 3.5 MiB for
-        2^16 elements at k=256, ell=32.
+        a smaller one keys all the pairs of its first _PENDING_CAP
+        elements, and of the rest only those at or below the thresholds.
+        The working memory is some 40 bytes per element plus one block: a
+        traced peak of 3.5 MiB for 2^16 elements at k=256, ell=32.
         """
         sketch = cls(family, ell)
         sketch._merge(as_element_set(elements))
@@ -332,99 +335,90 @@ class BufferedSketch:
         During inserts a threshold only falls, and a row that fills keeps
         its smallest keys. So row i ends as the smallest min(ell, .) of its
         keys and the new keys at or below its threshold at the start, and
-        a row that ends full takes its last key as threshold. Into empty
-        rows, at least _BOUND_MIN * ell elements go through ``_fill`` in one
-        pass: it keys only the pairs whose hash is at most 7 ell / (4 n) *
-        2^32, which hold each row's ell smallest keys unless fewer than
-        ell of the row's pairs fall under it, and keys such a row in full.
-        Otherwise, or if ``_fill`` gives up on a family whose hashes crowd
-        under that bound, elements are hashed _PENDING_CAP at a time, and
-        only a block's ell smallest keys per row can enter the row. Once
-        every row holds keys and has a threshold below TOP (every flush
-        after the first fill, and every block of a rebuild after its
-        first), only the keys at or below the thresholds are built
-        (``HashFamily._keys_below``); until then every key of the block is.
+        a row that ends full takes its last key as threshold. That gives
+        two regimes. While every threshold is TOP, every row holds the
+        whole set, so the rows are refilled from empty (``_fill``) with the
+        union of row 0's elements and ``xs``. Otherwise, and for the blocks
+        of _PENDING_CAP elements that ``_fill`` leaves, only the keys at or
+        below the thresholds are built (``HashFamily._keys_below``) and
+        merged into the rows.
         """
         self._where = None
-        if not self._sizev[0] and xs.size >= _BOUND_MIN * self.ell and self._fill(xs):
-            return
         k, ell, size, delta = self.family.k, self.ell, self._size, self._delta
-        for start in range(0, xs.size, _PENDING_CAP):
-            block = xs[start:start + _PENDING_CAP]
-            if self._sizev[0] and (delta != TOP).all():
-                # Every threshold is below TOP, so no TOP key can enter,
-                # and none is buffered.
-                keys, top = self._by_row(*self.family._keys_below(block, delta)), False
-            else:
-                keys = self.family.keys_many(block).T  # (k, block)
-                # Only x = 2^32 - 1, the last element, can have a key equal to
-                # TOP, which the masking below cannot tell from padding.
-                top_key = keys[:, -1] == TOP
-                if keys.shape[1] > ell:
-                    keys.partition(ell - 1, axis=1)
-                    keys = keys[:, :ell]
-                if self._sizev[0]:
-                    # A TOP key enters a row whose threshold is TOP, or is
-                    # buffered already, as the (nonempty) row's last key.
-                    top = top_key & (delta == TOP)
-                    top |= self._buf[np.arange(k), size - 1] == TOP
-                    keys = np.where(keys <= delta[:, None], keys, TOP)
+        if (delta == TOP).all():
             if self._sizev[0]:
-                rows = np.concatenate((self._buf, keys), axis=1)
-                rows.sort(axis=1)
-                rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = TOP  # a key already buffered
-                rows.sort(axis=1)
-                rows = rows[:, :ell]
-                size[:] = np.minimum((rows != TOP).sum(axis=1) + top, ell)
-            else:  # empty rows take the block's smallest keys, a TOP key too
-                rows = keys
-                rows.sort(axis=1)
-                size[:] = rows.shape[1]
-            self._buf[:, :rows.shape[1]] = rows
+                xs = _sorted_set(np.concatenate((self._buf[0, :self._sizev[0]] & _LOW, xs)))
+            xs = self._fill(xs)
+        for start in range(0, xs.size, _PENDING_CAP):
+            fn, keys = self.family._keys_below(xs[start:start + _PENDING_CAP], delta)
+            # The sort below cannot tell a TOP key from padding. One is either
+            # buffered as a row's last key, or it is x = 2^32 - 1 entering a
+            # row whose threshold is TOP.
+            top = self._buf[np.arange(k), size - 1] == TOP
+            top[fn[keys == TOP]] = True
+            rows = np.concatenate((self._buf, self._by_row(fn, keys)), axis=1)
+            rows.sort(axis=1)
+            rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = TOP  # a key already buffered
+            rows.sort(axis=1)
+            self._buf[:] = rows[:, :ell]
+            size[:] = np.minimum((self._buf != TOP).sum(axis=1) + top, ell)
             full = size == ell
             delta[full] = self._buf[full, ell - 1]
-            del keys, rows  # freed before the next block is hashed
+            del fn, keys, rows  # freed before the next block is keyed
 
-    def _fill(self, xs: np.ndarray) -> bool:
-        """Fill the empty rows with the ell smallest keys of ``xs``, at least
-        _BOUND_MIN * ell elements, keying only the pairs under one bound;
-        False, with the rows left empty, if too many pairs pass its prefix.
+    def _fill(self, xs: np.ndarray) -> np.ndarray:
+        """Fill the rows from empty with the smallest keys of ``xs``; returns
+        the elements it did not take, for ``_merge``'s blocks. Any key the
+        rows held before is overwritten.
 
-        Hashes are uniform, so with n = |xs| each row expects mu = 7 ell / 4
-        keys at or below the bound B of hash mu / n * 2^32, and B is far
-        below TOP. A row with at least ell of them takes its ell smallest:
-        they are the row's smallest keys, whatever the hashes. Only a row
-        with fewer (about 0.1 rows per merge at k=256, ell=32; every row of
-        a family whose hashes all exceed B) keys all n of its pairs, at most
-        _PENDING_CAP * k keys at a time, as a block of ``_merge`` holds.
-        Every row ends full, since n > ell. A pair that passes the prefix
-        test takes about four 8-byte words on its way to a key, so the scan
-        gives up past a quarter of a block's pairs, _PENDING_CAP * k / 4,
-        against about k * (mu + n / 2^16) for uniform hashes: a family
-        whose hashes crowd under B (say, all below 2^17) goes through
-        ``_merge``'s blocks instead, in bounded memory.
+        At least _BOUND_MIN * ell elements go in at once, keying only the
+        pairs under one bound. Hashes are uniform, so with n = |xs| each row
+        expects mu = 7 ell / 4 keys at or below the bound B of hash mu / n *
+        2^32, and B is far below TOP. A row with at least ell of them takes
+        its ell smallest: they are the row's smallest keys, whatever the
+        hashes. Only a row with fewer (about 0.1 rows per merge at k=256,
+        ell=32; every row of a family whose hashes all exceed B) keys all n
+        of its pairs, at most _PENDING_CAP * k keys at a time, as a block of
+        ``_merge`` holds. Every row ends full, since n > ell. A pair that
+        passes the prefix test takes about four 8-byte words on its way to
+        a key, so the scan gives up past a quarter of a block's pairs,
+        _PENDING_CAP * k / 4, against about k * (mu + n / 2^16) for uniform
+        hashes.
+
+        A smaller set, or one from a family whose hashes crowd under B (say,
+        all below 2^17), keys all the pairs of its first _PENDING_CAP
+        elements and keeps each row's ell smallest, a TOP key too.
         """
         family, k, ell, n = self.family, self.family.k, self.ell, xs.size
-        bound = ((7 * ell << 32) // (4 * n)) << 32 | 0xFFFFFFFF
-        found = family._keys_under(xs, bound, _PENDING_CAP * k // 4)
+        found = None
+        if n >= _BOUND_MIN * ell:
+            bound = ((7 * ell << 32) // (4 * n)) << 32 | 0xFFFFFFFF
+            found = family._keys_below(xs, np.full(k, bound, dtype=np.uint64), _PENDING_CAP * k // 4)
         if found is None:
-            return False
-        got = self._by_row(*found)
-        rows = np.full((k, ell), TOP, dtype=np.uint64)
-        rows[:, :got.shape[1]] = got
-        short = np.flatnonzero(rows[:, ell - 1] == TOP)  # no key under B is TOP
-        step = max(1, _PENDING_CAP * k // n)
-        for start in range(0, short.size, step):
-            fns = short[start:start + step]
-            every = np.left_shift(family._hashes(xs[None, :], fns[:, None]), 32, dtype=np.uint64)
-            every |= xs
-            every.partition(ell - 1, axis=1)
-            rows[fns] = every[:, :ell]
+            rows, xs = family.keys_many(xs[:_PENDING_CAP]).T, xs[_PENDING_CAP:]  # (k, block)
+            if rows.shape[1] > ell:
+                rows.partition(ell - 1, axis=1)
+                rows = rows[:, :ell]
+        else:
+            got = self._by_row(*found)
+            rows = np.full((k, ell), TOP, dtype=np.uint64)
+            rows[:, :got.shape[1]] = got
+            short = np.flatnonzero(rows[:, ell - 1] == TOP)  # no key under B is TOP
+            step = max(1, _PENDING_CAP * k // n)
+            for start in range(0, short.size, step):
+                fns = short[start:start + step]
+                every = np.left_shift(family._hashes(xs[None, :], fns[:, None]), 32, dtype=np.uint64)
+                every |= xs
+                every.partition(ell - 1, axis=1)
+                rows[fns] = every[:, :ell]
+            xs = xs[n:]
         rows.sort(axis=1)
-        self._buf[:] = rows
-        self._size[:] = ell
-        self._delta[:] = rows[:, ell - 1]
-        return True
+        self._buf[:, :rows.shape[1]] = rows
+        self._buf[:, rows.shape[1]:] = TOP
+        self._size[:] = rows.shape[1]
+        if rows.shape[1] == ell:
+            self._delta[:] = rows[:, ell - 1]
+        return xs
 
     def _by_row(self, fn: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """The pairs (fn, keys), ordered by fn, as a (k, m) array padded

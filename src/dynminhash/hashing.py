@@ -20,7 +20,7 @@ _U64 = (1 << 64) - 1
 
 #: Keys per gather block in ``HashFamily.keys_many`` (512 KiB of uint32),
 #: per block of ``HashFamily.min_hashes`` (1 MiB of uint64) and per prefix
-#: block of ``HashFamily._prefix_keys`` (256 KiB of uint16).
+#: block of ``HashFamily._keys_below`` (256 KiB of uint16).
 _GATHER_KEYS = 1 << 17
 
 # splitmix64 constants, used to derive independent per-function subseeds from
@@ -229,20 +229,26 @@ class HashFamily:
         out |= xs
         return out.T
 
-    def _prefix_keys(self, xs, limit, cap=None):
+    def _keys_below(self, xs, bound, cap=None):
         """(fn, keys): the pair keys of ``xs`` (nonempty, uint64) under each
-        function i whose hash's top 16 bits are <= ``limit`` (uint16, one
-        per function or one for all), ordered by fn, then by element; None
-        as soon as more than ``cap`` pairs pass, when a cap is given.
+        function i that are <= ``bound[i]`` (uint64, one per function),
+        ordered by fn, then by element; None as soon as more than ``cap``
+        pairs pass the prefix test, when a cap is given.
 
         As tabulation is a plain XOR, the top 16 bits of every hash are the
-        XOR of four ``_prefix_tables`` entries, so only the pairs that pass
-        are keyed. Prefixes are gathered 2^17 at a time (256 KiB), a block
-        that stays in cache, so the scan holds a few bytes per element of
-        ``xs`` beyond the pairs that pass.
+        XOR of four ``_prefix_tables`` entries. A hash whose top 16 bits are
+        at most the bound's passes every key at or below it, and the few
+        above it that share its top bits, so only the pairs that pass are
+        keyed and compared in full. Prefixes are gathered 2^17 at a time
+        (256 KiB), a block that stays in cache, so the scan holds a few
+        bytes per element of ``xs`` beyond the pairs that pass. A merge into
+        rows that hold keys runs here, and so does a fill of empty rows, on
+        one bound drawn from the size of ``xs`` with a cap that bounds the
+        memory for a family whose hashes crowd under it.
         """
         k = self.k
         q = self._prefix_tables()
+        limit = (bound >> np.uint64(48)).astype(np.uint16)
         byte = [((xs >> np.uint64(8 * t)) & np.uint64(255)).astype(np.intp) for t in range(4)]
         step = max(1, _GATHER_KEYS // k)
         hits, passed = [], 0
@@ -263,33 +269,7 @@ class HashFamily:
             h ^= flat[(256 * t + byte[t][j]) * k + fn]
         keys = np.left_shift(h, 32, dtype=np.uint64)
         keys |= xs[j]
-        return fn, keys
-
-    def _keys_below(self, xs, bound) -> tuple:
-        """(fn, keys): the pair keys of ``xs`` (nonempty, uint64) under each
-        function i that are <= ``bound[i]``, ordered by fn, then by element.
-
-        A hash whose top 16 bits are at most the bound's passes every key at
-        or below it, and the few above it that share its top bits, so only
-        the pairs that pass (``_prefix_keys``) are keyed and compared in
-        full. A merge into rows that hold thresholds runs here.
-        """
-        fn, keys = self._prefix_keys(xs, (bound >> np.uint64(48)).astype(np.uint16))
         below = keys <= bound[fn]
-        return fn[below], keys[below]
-
-    def _keys_under(self, xs, bound: int, cap: int):
-        """``_keys_below`` with one ``bound`` (a key below TOP) for every
-        function, or None when more than ``cap`` pairs pass the prefix test,
-        which bounds the memory for a family whose hashes crowd under the
-        bound. A merge into empty rows runs here, on a bound drawn from the
-        size of ``xs`` rather than from any row.
-        """
-        found = self._prefix_keys(xs, np.uint16(bound >> 48), cap)
-        if found is None:
-            return None
-        fn, keys = found
-        below = keys <= np.uint64(bound)
         return fn[below], keys[below]
 
     def keys_at(self, xs) -> np.ndarray:

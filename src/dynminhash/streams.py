@@ -242,10 +242,12 @@ def load_graph_balls(edge_list_path, top_v: int, d: int, include_center: bool = 
     allowed) and returns, for each selected center, the set of vertices
     reachable in at most d hops along out-edges. d must be 1 or 2. The
     center itself is excluded unless include_center is set. Ties in
-    out-degree break toward the smaller vertex id.
+    out-degree break toward the smaller vertex id. top_v must be at least 1.
     """
     if d not in (1, 2):
         raise ValueError(f"ball radius {d} unsupported; use 1 or 2")
+    if top_v < 1:
+        raise ValueError(f"top_v must be at least 1, got {top_v}")
     adjacency: dict = {}
     with open(edge_list_path, encoding="utf-8") as fh:
         for line in fh:

@@ -28,6 +28,8 @@ def test_all_names_resolve():
     (HashFamily, "functions"),
     (HashFamily, "eval_one"),
     (HashFamily, "eval_many"),
+    (HashFamily, "_keys_under"),
+    (HashFamily, "_prefix_keys"),
     (PairwiseHash, "eval_many"),
 ])
 def test_removed_names_are_gone(owner, name):

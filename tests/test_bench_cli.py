@@ -119,6 +119,14 @@ class TestBench:
         assert summary["returned_pairs"] == n_sets * (n_sets - 1) // 2
         assert summary["negatives_sampled"] == 0 and summary["fn_estimate"] == 0
 
+    @pytest.mark.parametrize("sample", [0, -3])
+    def test_acp_run_rejects_an_empty_negative_sample(self, sample):
+        # A sample of 0 reported recall 1.0 with CI [1.0, 1.0] from no pair.
+        sets, _ = bench.make_planted_acp_corpus(4, 1, seed=1, universe_bits=16, base_size=80)
+        with pytest.raises(ValueError, match="at least 1"):
+            bench.acp_run(sets, k=64, ell=8, banding=BandingParams(b=12, r=5),
+                          threshold=0.5, seed=1, negative_sample=sample)
+
     def test_planted_corpus_shape(self):
         sets, planted = bench.make_planted_acp_corpus(40, 4, seed=7)
         assert len(sets) == 40
@@ -174,10 +182,14 @@ class TestCli:
         ("fault-sweep", "--n", "0"), ("fault-sweep", "--ells", "2,0"),
         ("rmse", "--pairs", "0"), ("gen-pairs", "--pairs", "-1"), ("gen-stream", "--n", "-5"),
         ("acp", "--synthetic-sets", "0"), ("acp", "--synthetic-sets", "-4"),
+        ("acp", "--sample-negatives", "0"), ("acp", "--sample-negatives", "-1"),
+        ("acp", "--top-v", "0"), ("load-balls", "--top-v", "-1"),
     ])
     def test_sizes_below_one_rejected(self, command, flag, value, capsys):
-        # speedup --n-list 0 divided by an empty stream's zero time, and
-        # mixed --n 0 printed rows of zero times.
+        # speedup --n-list 0 divided by an empty stream's zero time, mixed
+        # --n 0 printed rows of zero times, acp --sample-negatives 0 reported
+        # recall 1.0 from no sampled pair, and --top-v -1 kept every center
+        # but the last.
         with pytest.raises(SystemExit) as exc:
             run([command, flag, value, "--reps", "1", "--k", "4"])
         assert exc.value.code == EXIT_CONFIG_ERROR

@@ -497,16 +497,20 @@ class TestFilteredMerge:
 
     @staticmethod
     def _observe(monkeypatch, ell):
-        """Counts over the filtered merges: pairs whose top 16 bits equal
-        their threshold's, below and above it, of all pairs; blocks where
-        more than ell keys of one row pass; blocks that hold a TOP key, and
-        those where it ties its threshold's top bits."""
+        """Counts over the filtered merges (the uncapped ``_keys_below``
+        calls): pairs whose top 16 bits equal their threshold's, below and
+        above it, of all pairs; blocks where more than ell keys of one row
+        pass; blocks that hold a TOP key, and those where it ties its
+        threshold's top bits."""
         seen = dict.fromkeys(("merges", "pairs", "tie_below", "tie_above", "crowded", "top_key",
                               "top_tie"), 0)
         keys_below = HashFamily._keys_below
 
-        def observed(family, xs, bound):
-            fn, keys = keys_below(family, xs, bound)
+        def observed(family, xs, bound, cap=None):
+            found = keys_below(family, xs, bound, cap)
+            if cap is not None:
+                return found
+            fn, keys = found
             every = family.keys_many(xs)
             tie = every >> np.uint64(48) == bound >> np.uint64(48)
             seen["merges"] += 1
@@ -570,12 +574,15 @@ def _bulk_states(monkeypatch, cap, family):
     family keeps the TOP key; ``init`` of 41 elements, then deletes of the
     elements buffered in row 0, the last of which faults at the latest; and
     a run of inserts queued at the default cap and flushed by a read at
-    ``cap``, so that the flush may be longer than the cap. Element
-    2^32 - 1 is in the last block of every bulk path.
+    ``cap``, so that the flush may be longer than the cap, into the 40
+    elements and into the set of three, whose rows hold the whole set and
+    are refilled with the union, its first block at times shorter than
+    the rows. Element 2^32 - 1 is in the last block of every bulk path.
     """
     top = 2**32 - 1
     monkeypatch.setattr(core, "_PENDING_CAP", cap)
-    states = [BufferedSketch.init([1, 2, top], family, _BLOCK_ELL).to_bytes()]
+    small = BufferedSketch.init([1, 2, top], family, _BLOCK_ELL)
+    states = [small.to_bytes()]
     members = list(range(100, 140)) + [top]
     sketch = BufferedSketch.init(members, family, _BLOCK_ELL)
     states.append(sketch.to_bytes())
@@ -590,9 +597,10 @@ def _bulk_states(monkeypatch, cap, family):
     run = list(range(200, 200 + core._MERGE_MIN)) + [top]
     for x in run:
         sketch.insert(x)
-    assert len(sketch._pending) == len(run)
+        small.insert(x)
+    assert len(sketch._pending) == len(small._pending) == len(run)
     monkeypatch.setattr(core, "_PENDING_CAP", cap)
-    states.append(sketch.to_bytes())
+    states += [sketch.to_bytes(), small.to_bytes()]
     return states
 
 
@@ -653,18 +661,19 @@ def _bounded_states(fam, ell, xs, rng):
     return model, BufferedSketch.init(xs, fam, ell), rebuilt
 
 
-def _spy_keys_under(monkeypatch):
-    """The pairs count of every ``HashFamily._keys_under`` call, None for
-    one that gave up."""
+def _spy_capped_keys_below(monkeypatch):
+    """The pairs count of every capped ``HashFamily._keys_below`` call (the
+    bounded pass of ``BufferedSketch._fill``), None for one that gave up."""
     calls = []
-    keys_under = HashFamily._keys_under
+    keys_below = HashFamily._keys_below
 
-    def observed(family, xs, bound, cap):
-        found = keys_under(family, xs, bound, cap)
-        calls.append(None if found is None else found[0].size)
+    def observed(family, xs, bound, cap=None):
+        found = keys_below(family, xs, bound, cap)
+        if cap is not None:
+            calls.append(None if found is None else found[0].size)
         return found
 
-    monkeypatch.setattr(HashFamily, "_keys_under", observed)
+    monkeypatch.setattr(HashFamily, "_keys_below", observed)
     return calls
 
 
@@ -696,7 +705,7 @@ class TestBoundedFill:
             xs[0] = 2**32 - 1
         xs = np.unique(xs)
         with pytest.MonkeyPatch.context() as m:
-            calls = _spy_keys_under(m)
+            calls = _spy_capped_keys_below(m)
             model, built, rebuilt = _bounded_states(fam, ell, xs, rng)
         assert len(calls) == (2 if xs.size >= cut else 0)
         model.assert_matches(built)
@@ -721,7 +730,7 @@ class TestBoundedFill:
         rng = np.random.default_rng(72)
         xs = np.unique(rng.choice(1 << 32, size=3 * core._BOUND_MIN * ell, replace=False)
                        .astype(np.uint64))
-        calls = _spy_keys_under(monkeypatch)
+        calls = _spy_capped_keys_below(monkeypatch)
         model, built, rebuilt = _bounded_states(fam, ell, xs, rng)
         assert len(calls) == 2 and calls[0] == calls[1] and (calls[0] == 0) == (raised == "every")
         assert (built._buf[fns] >> np.uint64(63) == 1).all()
@@ -741,7 +750,7 @@ class TestBoundedFill:
         rng = np.random.default_rng(74)
         xs = np.unique(rng.choice(1 << 32, size=3 * core._BOUND_MIN * ell, replace=False)
                        .astype(np.uint64))
-        calls = _spy_keys_under(monkeypatch)
+        calls = _spy_capped_keys_below(monkeypatch)
         model, built, rebuilt = _bounded_states(fam, ell, xs, rng)
         assert calls == [None if cap else k * xs.size] * 2
         model.assert_matches(built)
@@ -1425,15 +1434,22 @@ def _replay_at_reads(fam, ell, ops, top=None):
     comparing them only at reads, so that the deletes between reads queue
     their removals. After every op, each row's size plus its queued
     removals is at most ell, so the queue never holds more than k * ell
-    entries. Returns the counts of the queue states the stream reached."""
+    entries. Returns the counts of the queue states the stream reached,
+    and of the merges into rows that all hold the whole set (every
+    threshold TOP), which refill the rows with the union, 2^32 - 1 in it
+    or not."""
     events = dict.fromkeys((
         "several_in_row", "top_element_queued", "top_key_queued", "fault_queued", "stale_queued",
-        "flush_both", "merge_queued", "roundtrip_queued"), 0)
+        "flush_both", "merge_queued", "roundtrip_queued", "refill", "top_refill"), 0)
     sketch, model, members = BufferedSketch(fam, ell), _BufferModel(fam, ell), set()
     faults, most = 0, 0  # faults of the sketches replaced by a round trip
     for op, x in ops:
         dropped = list(sketch._dropped)
         queued = [e & 0xFFFFFFFF for entries in dropped[1::2] for e in entries]
+        if op != "insert" and len(sketch._pending) >= core._MERGE_MIN and sketch._size[0] \
+                and (sketch._delta == TOP).all():
+            events["refill"] += 1
+            events["top_refill"] += top in members
         if op == "insert":
             members.add(x)
             sketch.insert(x)
@@ -1492,16 +1508,20 @@ class TestRemovalQueue:
         """Rows lose several keys before a read; faults and stale recoveries
         meet a non-empty queue; inserts, merged ones too, are flushed after
         queued removals; checkpoints round-trip mid-run. Element 2^32 - 1
-        is deleted while it is buffered and other removals are queued."""
+        is deleted while it is buffered and other removals are queued.
+        Merged runs meet rows that all hold the whole set, which
+        ``_merge`` refills with the union."""
         fam, top = new_family(k, 60 + seed), 2**32 - 1
         pool = np.random.default_rng(seed).choice(1 << 31, size=20000, replace=False).tolist()
         events = _replay_at_reads(fam, ell, _queued_ops(seed, pool, ell, 40, top), top)
-        del events["top_key_queued"]
+        del events["top_key_queued"], events["top_refill"]
         assert min(events.values()) > 0, events
 
     def test_top_key_deleted_with_removals_queued(self):
         """Under the crafted family, 2^32 - 1's key in row 0 is TOP, which
-        a search over the whole row must tell from the padding."""
+        a search over the whole row must tell from the padding, and which a
+        refill of rows that hold the whole set must take by row 0's size."""
         fam, top = _top_key_family(), TestTopKeyElement.X
         events = _replay_at_reads(fam, 6, _queued_ops(14, list(range(10, 20000)), 6, 40, top), top)
         assert events["top_key_queued"] > 0 and events["several_in_row"] > 0, events
+        assert events["refill"] > 0 and events["top_refill"] > 0, events

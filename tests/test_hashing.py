@@ -111,13 +111,16 @@ def test_keys_below_is_the_brute_force_filter_by_function_then_element(monkeypat
     bounds equal to a key or one below it, and bounds of TOP. The narrow
     family keeps the low 17 bits of each hash, so most keys' top 16 bits tie
     their bound's and the full comparison decides. A block of 13 elements
-    spreads the prefix filter over many gather blocks."""
+    spreads the prefix filter over many gather blocks. One bound for every
+    function (random, a key or one below a key), as a fill of empty rows
+    passes it, with a cap: the same keys under a cap of every pair, and
+    None once more pairs pass the prefix test than the cap."""
     fam = new_family(k, 300 + k)
     if narrow:
         fam = HashFamily.from_tables(fam.tables & 0x1FFFF)
     if block is not None:
         monkeypatch.setattr(hashing, "_GATHER_KEYS", block * k)
-    rng = np.random.default_rng(k)
+    rng, pick = np.random.default_rng(k), np.random.default_rng(400 + k)
     xs = hashing.as_element_set(rng.integers(0, 1 << 32, size=400, dtype=np.uint64))
     every = nibble_keys(fam, xs).T  # (k, n): function i's keys in element order
     top = np.full(k, TOP, dtype=np.uint64)
@@ -127,35 +130,17 @@ def test_keys_below_is_the_brute_force_filter_by_function_then_element(monkeypat
         choices = np.stack([
             rng.integers(0, 1 << 64, size=k, dtype=np.uint64), drawn, drawn - np.uint64(1), top])
         bound = choices[rng.integers(0, 4, size=k), np.arange(k)] if trial else top
-        fn_got, keys_got = fam._keys_below(xs, bound)
-        fn_want, j_want = np.nonzero(every <= bound[:, None])
-        assert np.array_equal(fn_got, fn_want)
-        assert np.array_equal(keys_got, every[fn_want, j_want])
+        uniform = np.full(k, choices[pick.integers(0, 3), pick.integers(0, k)])
+        for b, cap in ((bound, None), (uniform, every.size)):
+            fn_got, keys_got = fam._keys_below(xs, b, cap)
+            fn_want, j_want = np.nonzero(every <= b[:, None])
+            assert np.array_equal(fn_got, fn_want)
+            assert np.array_equal(keys_got, every[fn_want, j_want])
         ties += int(((every >> np.uint64(48) == (bound >> np.uint64(48))[:, None])
                      & (every > bound[:, None])).sum())
+        passing = int((every >> np.uint64(48) <= uniform[:, None] >> np.uint64(48)).sum())
+        assert passing == 0 or fam._keys_below(xs, uniform, passing - 1) is None
     assert ties > 0 or not narrow
-
-
-@pytest.mark.parametrize("k,narrow", [(7, False), (256, False), (5, True)])
-def test_keys_under_is_the_brute_force_filter_under_one_bound(k, narrow):
-    """``_keys_under`` returns exactly the keys at or below one bound for
-    every function, ordered by function and then element, for bounds
-    drawn at random, equal to a key and one below a key; and None once
-    more pairs pass the prefix test than its cap."""
-    fam = new_family(k, 400 + k)
-    if narrow:
-        fam = HashFamily.from_tables(fam.tables & 0x1FFFF)
-    rng = np.random.default_rng(k)
-    xs = hashing.as_element_set(rng.integers(0, 1 << 32, size=400, dtype=np.uint64))
-    every = nibble_keys(fam, xs).T
-    drawn = every[rng.integers(0, k, size=4), rng.integers(0, xs.size, size=4)]
-    for bound in [*rng.integers(0, 1 << 64, size=4, dtype=np.uint64), *drawn, *(drawn - 1)]:
-        fn_got, keys_got = fam._keys_under(xs, int(bound), every.size)
-        fn_want, j_want = np.nonzero(every <= bound)
-        assert np.array_equal(fn_got, fn_want)
-        assert np.array_equal(keys_got, every[fn_want, j_want])
-        passing = int((every >> np.uint64(48) <= bound >> np.uint64(48)).sum())
-        assert fam._keys_under(xs, int(bound), passing - 1) is None or passing == 0
 
 
 def test_keys_at_gathers_each_functions_own_elements():

@@ -245,6 +245,13 @@ class TestGraphBalls:
                 lengths = nx.single_source_shortest_path_length(graph, center, cutoff=d)
                 assert ball == {v for v, dist in lengths.items() if 0 < dist <= d}
 
+    @pytest.mark.parametrize("top_v", [0, -1])
+    def test_top_v_below_one_rejected(self, tmp_path, top_v):
+        # A slice [:-1] kept every center but the last.
+        path = self._write_edges(tmp_path, [(v, v + 1) for v in range(5)])
+        with pytest.raises(ValueError, match="top_v"):
+            load_graph_balls(path, top_v=top_v, d=1)
+
     def test_radius_cap(self, tmp_path):
         path = self._write_edges(tmp_path, [(0, 1)])
         with pytest.raises(ValueError):
