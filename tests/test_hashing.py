@@ -143,6 +143,30 @@ def test_keys_below_is_the_brute_force_filter_by_function_then_element(monkeypat
     assert ties > 0 or not narrow
 
 
+@pytest.mark.parametrize("k,narrow", [(7, False), (256, False), (5, True)])
+def test_keys_under_is_the_brute_force_filter_under_one_bound(k, narrow):
+    """``_keys_below`` under one bound for every function, as a fill of
+    empty rows passes it, returns exactly the keys at or below it, ordered
+    by function and then element, for bounds drawn at random, equal to a
+    key and one below a key; and None once more pairs pass the prefix test
+    than its cap."""
+    fam = new_family(k, 400 + k)
+    if narrow:
+        fam = HashFamily.from_tables(fam.tables & 0x1FFFF)
+    rng = np.random.default_rng(k)
+    xs = hashing.as_element_set(rng.integers(0, 1 << 32, size=400, dtype=np.uint64))
+    every = nibble_keys(fam, xs).T
+    drawn = every[rng.integers(0, k, size=4), rng.integers(0, xs.size, size=4)]
+    for bound in [*rng.integers(0, 1 << 64, size=4, dtype=np.uint64), *drawn, *(drawn - 1)]:
+        uniform = np.full(k, bound, dtype=np.uint64)
+        fn_got, keys_got = fam._keys_below(xs, uniform, every.size)
+        fn_want, j_want = np.nonzero(every <= bound)
+        assert np.array_equal(fn_got, fn_want)
+        assert np.array_equal(keys_got, every[fn_want, j_want])
+        passing = int((every >> np.uint64(48) <= bound >> np.uint64(48)).sum())
+        assert passing == 0 or fam._keys_below(xs, uniform, passing - 1) is None
+
+
 def test_keys_at_gathers_each_functions_own_elements():
     fam = new_family(5, 7)
     xs = np.random.default_rng(8).integers(0, 1 << 32, size=(5, 4), dtype=np.uint64)
