@@ -1,10 +1,11 @@
 """Benchmark command line: reproduces the experiment suite at desk scale.
 
 Subcommands: fault-sweep, speedup, mixed, rmse, acp, gen-stream, gen-pairs,
-load-balls. Every command is deterministic given --seed (timing columns
-excluded) and writes CSV by default or JSON with --json. Exit codes: 0 on
-success, 2 on configuration errors, 3 on data errors (unreadable or
-malformed input files).
+load-balls. Each subcommand takes only the shared flags it reads. Every
+command is deterministic given its inputs and --seed (timing columns
+excluded), and every command but gen-stream writes CSV by default or JSON
+with --json. Exit codes: 0 on success, 2 on configuration errors, 3 on
+data errors (unreadable or malformed input files).
 """
 
 from __future__ import annotations
@@ -82,44 +83,63 @@ def _float_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats: {text!r}") from exc
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    common.add_argument("--reps", type=_positive_int, default=20,
-                        help="timed repetitions, at least 1 (default 20)")
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
-    common.add_argument("--k", type=int, default=256, help="hash functions per signature")
-    common.add_argument("--ell", type=int, default=32, help="buffer capacity per function")
-    common.add_argument("--universe-bits", type=int, default=32,
-                        help="log2 of the element universe (default 32)")
+def _universe_bits(text: str) -> int:
+    value = _positive_int(text)
+    if value > 32:
+        raise argparse.ArgumentTypeError(f"must be at most 32, got {value}")
+    return value
 
+
+#: The flags that several subcommands share; each subcommand takes only
+#: those that ``run`` reads for it (``_subcommand``).
+_COMMON = {
+    "--seed": dict(type=int, default=0, help="master seed (default 0)"),
+    "--reps": dict(type=_positive_int, default=20,
+                   help="timed repetitions, at least 1 (default 20)"),
+    "--out": dict(default=None, help="output path (default stdout)"),
+    "--json": dict(action="store_true", help="emit JSON instead of CSV"),
+    "--k": dict(type=int, default=256, help="hash functions per signature"),
+    "--ell": dict(type=int, default=32, help="buffer capacity per function"),
+    "--universe-bits": dict(type=_universe_bits, default=32,
+                            help="log2 of the element universe, in [1, 32] (default %(default)s)"),
+}
+
+
+def _subcommand(sub, name: str, *flags: str, help: str) -> argparse.ArgumentParser:
+    # Flags are never abbreviated, or fault-sweep would read --ell 8 as --ells 8.
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    for flag in flags:
+        p.add_argument(flag, **_COMMON[flag])
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynminhash-bench",
         description="Benchmarks for dynamic MinHash sketches over update streams with recovery.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fault-sweep", parents=[common],
-                       help="stress test over a range of buffer sizes")
+    p = _subcommand(sub, "fault-sweep", "--seed", "--reps", "--out", "--json", "--k",
+                    "--universe-bits", help="stress test over a range of buffer sizes")
     p.add_argument("--n", type=_positive_int, default=4096,
                    help="elements inserted then deleted, at least 1")
     p.add_argument("--ells", type=_positive_int_list, default=[2, 4, 8, 16, 32, 64],
                    help="comma-separated buffer sizes to sweep")
 
-    p = sub.add_parser("speedup", parents=[common],
-                       help="buffered sketch vs argmin-only baseline on identical streams")
+    p = _subcommand(sub, "speedup", *_COMMON,
+                    help="buffered sketch vs argmin-only baseline on identical streams")
     p.add_argument("--n-list", type=_positive_int_list, default=[4096],
                    help="comma-separated stream half-lengths, each at least 1")
 
-    p = sub.add_parser("mixed", parents=[common],
-                       help="interleaved updates and signature queries, all sketches")
+    p = _subcommand(sub, "mixed", *_COMMON,
+                    help="interleaved updates and signature queries, all sketches")
     p.add_argument("--n", type=_positive_int, default=4096, help="events per workload, at least 1")
     p.add_argument("--p-list", type=_float_list, default=[0.0, 0.01, 0.05, 0.1, 0.5, 0.9],
                    help="query fractions to sweep")
 
-    p = sub.add_parser("rmse", parents=[common],
-                       help="Jaccard estimation error on correlated set pairs")
+    p = _subcommand(sub, "rmse", "--seed", "--out", "--json", "--k", "--ell", "--universe-bits",
+                    help="Jaccard estimation error on correlated set pairs")
     p.add_argument("--j-list", type=_float_list, default=[0.1, 0.3, 0.5, 0.7, 0.9])
     p.add_argument("--pairs", type=_positive_int, default=1000,
                    help="pairs per similarity level, at least 1")
@@ -128,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of bmh,vanilla,bss")
     p.set_defaults(universe_bits=17)  # pair generation materializes the universe
 
-    p = sub.add_parser("acp", parents=[common],
-                       help="all-candidate-pairs over graph neighborhoods or a synthetic corpus")
+    p = _subcommand(sub, "acp", "--seed", "--out", "--json", "--k", "--ell", "--universe-bits",
+                    help="all-candidate-pairs over graph neighborhoods or a synthetic corpus")
     p.add_argument("--edges", default=None, help="SNAP edge list path")
     p.add_argument("--top-v", type=_positive_int, default=5000,
                    help="highest-out-degree centers to keep, at least 1")
@@ -149,14 +169,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="estimate recall from this many sampled non-returned pairs, at least 1")
     p.add_argument("--summary-out", default=None, help="write the summary row here (CSV/JSON)")
 
-    p = sub.add_parser("gen-stream", parents=[common],
-                       help="write an insert-everything-then-delete-everything stream file")
+    p = _subcommand(sub, "gen-stream", "--seed", "--out", "--universe-bits",
+                    help="write an insert-everything-then-delete-everything stream file")
     p.add_argument("--n", type=_positive_int, default=4096,
                    help="elements inserted then deleted, at least 1")
     p.add_argument("--set-id", type=int, default=0)
 
-    p = sub.add_parser("gen-pairs", parents=[common],
-                       help="generate correlated set pairs and their exact similarities")
+    p = _subcommand(sub, "gen-pairs", "--seed", "--out", "--json", "--universe-bits",
+                    help="generate correlated set pairs and their exact similarities")
     p.add_argument("--j", type=float, default=0.5)
     p.add_argument("--pairs", type=_positive_int, default=100, help="pairs, at least 1")
     p.add_argument("--density", type=float, default=0.05)
@@ -164,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the pairs as an insert stream (set ids 2i, 2i+1)")
     p.set_defaults(universe_bits=17)  # pair generation materializes the universe
 
-    p = sub.add_parser("load-balls", parents=[common],
-                       help="neighborhood sets of the highest-out-degree vertices")
+    p = _subcommand(sub, "load-balls", "--out", "--json",
+                    help="neighborhood sets of the highest-out-degree vertices")
     p.add_argument("--edges", required=True, help="SNAP edge list path")
     p.add_argument("--top-v", type=_positive_int, default=5000,
                    help="highest-out-degree centers to keep, at least 1")

@@ -157,7 +157,7 @@ class BufferedSketch:
 
     __slots__ = (
         "family", "ell", "_buf", "_size", "_delta",
-        "_bufv", "_sizev", "_deltav", "_dtop", "_pending", "_dropped", "_where",
+        "_bufv", "_sizev", "_deltav", "_dhash", "_pending", "_dropped", "_where",
         "fault_count", "recovery_elements_streamed",
     )
 
@@ -182,10 +182,10 @@ class BufferedSketch:
         self._bufv = memoryview(self._buf).cast("B").cast("Q")
         self._sizev = memoryview(self._size).cast("B").cast("q")
         self._deltav = memoryview(self._delta).cast("B").cast("Q")
-        # The top 16 bits of each threshold, a strided view of its most
-        # significant uint16 word, so it follows every write to _delta.
-        top = 3 if sys.byteorder == "little" else 0
-        self._dtop = self._delta.view(np.uint16)[top::4]
+        # The hash of each threshold, a strided view of its most
+        # significant uint32 word, so it follows every write to _delta.
+        hi = 1 if sys.byteorder == "little" else 0
+        self._dhash = self._delta.view(np.uint32)[hi::2]
         self._pending = []
         # Queued removals, flat: each deleted element, then its entries
         # from the element index. Holds at most k * ell entries, since each
@@ -258,29 +258,21 @@ class BufferedSketch:
                 where[xs[a]] = es[a:b]
         return where
 
-    def _candidates(self, x: int):
+    def _candidates(self, x: int) -> list:
         """(i, key) for each function i whose threshold may admit x, with key
-        x's exact pair key under function i.
+        x's exact pair key under function i, in function order.
 
-        The prefix test is exact for the top 16 bits of every key at once:
-        the XOR of x's four rows of ``HashFamily._prefix_tables`` holds the
-        top 16 bits of its k hashes, and a function passes when those are
-        <= its threshold's (``_dtop``). A key can share its top bits with
-        the threshold and still exceed it, so callers compare the full key.
-        Empty (the common case once buffers fill) when no function passes.
+        A function passes when x's hash (``HashFamily._hash_one``) is at
+        most its threshold's (``_dhash``). A key whose hash equals the
+        threshold's can still exceed it, on the element, so callers compare
+        the full key. Empty (the common case once buffers fill) when no
+        function passes.
         """
-        family = self.family
-        q = family._prefix_tables()
-        b0, b1, b2, b3 = x & 255, (x >> 8) & 255, (x >> 16) & 255, x >> 24
-        top = q[0, b0] ^ q[1, b1]
-        top ^= q[2, b2]
-        top ^= q[3, b3]
-        fns = (top <= self._dtop).nonzero()[0].tolist()
-        if not fns:
-            return ()
-        k, pk = family.k, family._flat_hashes()
-        b0, b1, b2, b3 = b0 * k, (256 + b1) * k, (512 + b2) * k, (768 + b3) * k
-        return [(i, (pk[b0 + i] ^ pk[b1 + i] ^ pk[b2 + i] ^ pk[b3 + i]) << 32 | x) for i in fns]
+        h = self.family._hash_one(x)
+        fns = (h <= self._dhash).nonzero()[0]
+        if not fns.size:
+            return []
+        return [(i, hi << 32 | x) for i, hi in zip(fns.tolist(), h[fns].tolist())]
 
     def insert(self, x: int) -> None:
         """Add element x. A no-op (bit-identical state) if x is tracked already.
@@ -436,7 +428,7 @@ class BufferedSketch:
     def _insert_one(self, x: int) -> None:
         """Insert x (checked) now: the per-op path.
 
-        The rows that may admit x come from the prefix test
+        The rows that may admit x come from the hash test
         (``_candidates``). The element index, when built, stays exact: x
         gains an entry for each row that admits it, and an element whose key
         drops out of a full row loses that row's entry.
@@ -446,7 +438,7 @@ class BufferedSketch:
         where, added = self._where, []
         for i, key in self._candidates(x):
             if key > delta[i]:
-                continue  # equal top bits only
+                continue  # the threshold's hash, but a larger element
             lo = i * ell
             s = size[i]
             pos = bisect_left(buf, key, lo, lo + s)

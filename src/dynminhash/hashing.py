@@ -106,12 +106,14 @@ class HashFamily:
     per-op insert's exact keys) reads one byte-wide table of (4, 256, k)
     uint32 hash values, precombined from the nibble tables on first use
     (1 MiB at k=256); outputs are bit-identical to evaluating the 8 nibble
-    tables directly. Both insert paths first filter on the top 16 bits of
+    tables directly. One element's k hashes come from one gather of four
+    rows (``_hash_one``), which ``key_one`` and the per-op insert share.
+    The bulk scan of ``_keys_below`` first filters on the top 16 bits of
     those values, a (4, 256, k) uint16 table (512 KiB at k=256) built on
     first use (``_prefix_tables``).
     """
 
-    __slots__ = ("k", "master_seed", "tables", "_packed", "_prefix", "_flat")
+    __slots__ = ("k", "master_seed", "tables", "_packed", "_prefix")
 
     def __init__(self, k: int, master_seed: int):
         if k < 1:
@@ -146,7 +148,7 @@ class HashFamily:
         self.k = tables.shape[0]
         self.master_seed = int(master_seed)
         self.tables = tables
-        self._packed = self._prefix = self._flat = None
+        self._packed = self._prefix = None
 
     @property
     def family_key(self) -> tuple:
@@ -172,29 +174,25 @@ class HashFamily:
 
         As tabulation is a plain XOR, XORing the four entries an element's
         bytes select gives the top 16 bits of all k of its hashes, which is
-        the prefix both insert paths test against their thresholds'.
+        the prefix ``_keys_below`` tests against its bounds'.
         """
         if self._prefix is None:
             self._prefix = (self._byte_tables() >> np.uint32(16)).astype(np.uint16)
         return self._prefix
 
-    def _flat_hashes(self) -> memoryview:
-        """``_byte_tables()`` as a flat uint32 memoryview, entry
-        (256 * t + b) * k + i: indexing it reads Python ints, so function
-        i's key of one element is (XOR of four entries) << 32 | x."""
-        if self._flat is None:
-            self._flat = memoryview(self._byte_tables()).cast("B").cast("I")
-        return self._flat
+    def _hash_one(self, x: int) -> np.ndarray:
+        """The k uint32 hashes of one element x in [0, 2^32), shape (k,)."""
+        p = self._byte_tables()
+        h = p[0, x & 255] ^ p[1, (x >> 8) & 255]
+        h ^= p[2, (x >> 16) & 255]
+        h ^= p[3, x >> 24]
+        return h
 
     def key_one(self, x: int) -> np.ndarray:
         """All k pair keys (hash << 32 | x) of one element, shape (k,)."""
         if not 0 <= x < MAX_UNIVERSE:
             raise ValueError(f"element {x} outside 32-bit universe")
-        p = self._byte_tables()
-        h = p[0, x & 255] ^ p[1, (x >> 8) & 255]
-        h ^= p[2, (x >> 16) & 255]
-        h ^= p[3, x >> 24]
-        key = np.left_shift(h, 32, dtype=np.uint64)
+        key = np.left_shift(self._hash_one(x), 32, dtype=np.uint64)
         key |= np.uint64(x)
         return key
 

@@ -30,6 +30,8 @@ def test_all_names_resolve():
     (HashFamily, "eval_many"),
     (HashFamily, "_keys_under"),
     (HashFamily, "_prefix_keys"),
+    (HashFamily, "_flat_hashes"),
+    (core.BufferedSketch, "_dtop"),
     (PairwiseHash, "eval_many"),
 ])
 def test_removed_names_are_gone(owner, name):

@@ -196,6 +196,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"argument {flag}:" in err and "at least 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["fault-sweep", "--ell", "8"], ["rmse", "--reps", "3"],
+        ["load-balls", "--edges", "g.txt", "--seed", "1"],
+    ])
+    def test_unread_common_flag_rejected(self, argv, capsys):
+        # fault-sweep sweeps --ells, rmse times nothing and load-balls draws
+        # nothing, so none of them reads the flag it is given. Parsing fails
+        # before g.txt is opened.
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == EXIT_CONFIG_ERROR
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+
+    def test_gen_stream_universe_bits_above_32_rejected(self, tmp_path, capsys):
+        # 40 bits would write elements above 2^32, which every sketch rejects.
+        out = tmp_path / "s.tsv"
+        with pytest.raises(SystemExit) as exc:
+            run(["gen-stream", "--n", "4", "--universe-bits", "40", "--out", str(out)])
+        assert exc.value.code == EXIT_CONFIG_ERROR
+        assert "argument --universe-bits:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gen_stream_roundtrip(self, tmp_path):
         out = tmp_path / "ops.tsv"
         code = run(["gen-stream", "--n", "16", "--universe-bits", "12",

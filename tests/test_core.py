@@ -1202,10 +1202,10 @@ def _candidate_states(fam, ell, seed):
 @pytest.mark.parametrize("k,ell,narrow", [(16, 4, False), (5, 3, False), (16, 4, True)])
 def test_candidates_match_keys_many(k, ell, narrow):
     """``_candidates(x)`` lists, in function order, every function whose
-    key of x is at or below its threshold, only functions whose key's top
-    16 bits are at or below the threshold's, and x's exact keys. The narrow
-    family keeps the low 17 bits of each hash, so most keys tie their
-    threshold's top 16 bits, below it and above it."""
+    key of x is at or below its threshold, only functions whose key's hash
+    (so also its top 16 bits) is at or below the threshold's, and x's exact
+    keys. The narrow family keeps the low 17 bits of each hash, so most keys
+    tie their threshold's top 16 bits, below it and above it."""
     fam = new_family(k, 60 + k)
     if narrow:
         fam = HashFamily.from_tables(fam.tables & 0x1FFFF)
@@ -1221,10 +1221,30 @@ def test_candidates_match_keys_many(k, ell, narrow):
             assert fns == sorted(set(fns)), (label, x)
             assert set(np.flatnonzero(keys <= delta).tolist()) <= set(fns), (label, x)
             assert (keys[fns] >> np.uint64(48) <= delta[fns] >> np.uint64(48)).all(), (label, x)
+            assert (keys[fns] >> np.uint64(32) <= delta[fns] >> np.uint64(32)).all(), (label, x)
             assert [key for _, key in got] == keys[fns].tolist(), (label, x)
             assert len(fns) == k or not every_top, (label, x)
             ties += int(((keys > delta) & (keys >> np.uint64(48) == delta >> np.uint64(48))).sum())
     assert ties > 0 or not narrow
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+@pytest.mark.parametrize("ops", [[0, 1], [1, 0], [5, 0, 1, 1], [2, 3, 0, 1]])
+def test_per_op_insert_rejects_an_equal_hash_above_the_threshold(ell, ops):
+    """Function 0 hashes elements 0 and 1 alike (equal nibble-0 entries), so
+    once a row holds one of them at its threshold, the other passes
+    ``_candidates`` on its hash, and only the full-key comparison in
+    ``_insert_one`` tells 1 (above the threshold) from 0 (below it)."""
+    tables = new_family(3, 61).tables.copy()
+    tables[0, 0, 1] = tables[0, 0, 0]
+    fam = HashFamily.from_tables(tables)
+    assert fam.key_one(0)[0] >> np.uint64(32) == fam.key_one(1)[0] >> np.uint64(32)
+    sketch, model = BufferedSketch(fam, ell), _BufferModel(fam, ell)
+    for x in ops:
+        sketch.insert(x)
+        model.insert(x)
+        model.assert_matches(sketch)
+        assert sketch._structure_faults() == []
 
 
 def _bursty_ops(seed, ell):
