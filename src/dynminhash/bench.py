@@ -311,8 +311,11 @@ def acp_run(sets: dict, k: int, ell: int, banding: BandingParams, threshold: flo
     exactly and recall is estimated from a uniform sample of non-returned
     pairs, reported together with a 95% confidence interval; this is the
     documented fallback for corpora too large for full ground truth; a
-    sample below 1 raises ValueError. Returns (pair_rows, summary_dict).
+    sample below 1 raises ValueError, as does a threshold outside (0, 1].
+    Returns (pair_rows, summary_dict).
     """
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     if negative_sample is not None and negative_sample < 1:
         raise ValueError(f"negative_sample must be at least 1, got {negative_sample}")
     _, sigs = build_signatures(sets, k, ell, seed, sketch, universe_bits)

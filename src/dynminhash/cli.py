@@ -83,6 +83,16 @@ def _float_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats: {text!r}") from exc
 
 
+def _fraction(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a number: {text!r}") from exc
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
+
+
 def _universe_bits(text: str) -> int:
     value = _positive_int(text)
     if value > 32:
@@ -159,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "at least 1 and at least twice --planted")
     p.add_argument("--planted", type=int, default=10,
                    help="planted similar pairs in the synthetic corpus, at least 0")
-    p.add_argument("--j", type=float, default=0.5, help="similarity threshold")
+    p.add_argument("--j", type=_fraction, default=0.5, help="similarity threshold, in (0, 1]")
     p.add_argument("--b", type=int, default=None, help="bands (default: derived)")
     p.add_argument("--r", type=int, default=None, help="rows per band (default: derived)")
     p.add_argument("--target-p1", type=float, default=0.8,
@@ -177,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(sub, "gen-pairs", "--seed", "--out", "--json", "--universe-bits",
                     help="generate correlated set pairs and their exact similarities")
-    p.add_argument("--j", type=float, default=0.5)
+    p.add_argument("--j", type=_fraction, default=0.5, help="target Jaccard similarity, in (0, 1]")
     p.add_argument("--pairs", type=_positive_int, default=100, help="pairs, at least 1")
     p.add_argument("--density", type=float, default=0.05)
     p.add_argument("--stream-out", default=None,
@@ -195,6 +205,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_balls(args, include_center: bool = False) -> dict:
+    """The balls of the ``--edges`` file, its read and parse errors as DataError."""
+    try:
+        return load_graph_balls(args.edges, args.top_v, args.radius, include_center)
+    except OSError as exc:
+        raise DataError(f"cannot read edge list: {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"malformed edge list: {exc}") from exc
+
+
 def _load_acp_sets(args):
     if args.synthetic_sets is not None:
         if args.planted < 0:
@@ -206,12 +226,7 @@ def _load_acp_sets(args):
         return sets
     if args.edges is None:
         raise ConfigError("acp needs either --edges or --synthetic-sets")
-    try:
-        return load_graph_balls(args.edges, args.top_v, args.radius)
-    except OSError as exc:
-        raise DataError(f"cannot read edge list: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"malformed edge list: {exc}") from exc
+    return _load_balls(args)
 
 
 def _cmd_acp(args) -> None:
@@ -271,12 +286,7 @@ def _cmd_gen_pairs(args) -> None:
 
 
 def _cmd_load_balls(args) -> None:
-    try:
-        balls = load_graph_balls(args.edges, args.top_v, args.radius, args.include_center)
-    except OSError as exc:
-        raise DataError(f"cannot read edge list: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"malformed edge list: {exc}") from exc
+    balls = _load_balls(args, args.include_center)
     rows = [{"schema": "balls/1", "center": center, "ball_size": len(ball)}
             for center, ball in sorted(balls.items())]
     _write_rows(rows, args.out, args.json)

@@ -42,13 +42,18 @@ MAX_ELL = 1 << 16
 #: ``insert`` queues its element, and every read of the state first flushes
 #: the queue. A flush of fewer than _MERGE_MIN pending inserts runs the
 #: per-op insert on each; a longer one is merged in one vectorised pass
-#: (``BufferedSketch._merge``). Measured at k=256, ell=32 on a 2-vCPU host:
-#: a merge into full rows costs about 0.45 ms plus 1-2.5 us per insert,
-#: while a per-op insert costs 0.3-0.8 ms into rows that are filling, about
-#: 35 us into a set of 1024 elements and 4-8 us into one of 2^14. The
-#: per-op path is faster for runs below 8 (at 1024 elements) to 64 (at
-#: 2^14); 64 keeps runs of one, as in interleaved inserts and deletes, off
-#: the merge.
+#: (``BufferedSketch._merge``). Measured at k=256, ell=32 on a 2-vCPU host
+#: (median of 15 flushes of fresh elements, two runs, the same state either
+#: way), per-op against merged: a run of 16 into a set of 1024 elements took
+#: 0.24-0.40 against 0.28-0.42 ms, and a run of 32 0.45-0.79 against
+#: 0.29-0.44 ms; into a set of 2^14, a run of 32 took 0.15 against 0.26-0.28
+#: ms and a run of 64 0.30-0.41 against 0.31-0.37 ms. So the merge wins
+#: from about 16 elements at 1024 and 48-64 at 2^14. A merge also drops the
+#: element index, which the next delete rebuilds in 0.85-1.3 ms (1024) to
+#: 1.7-2.1 ms (2^14). With that rebuild, a merged run of 64 into 1024
+#: elements costs 1.25-1.4 ms, against 1.15-1.25 ms per-op while the index
+#: is kept up. That is why 64 still keeps the short runs of interleaved
+#: inserts and deletes on the per-op path.
 _MERGE_MIN = 64
 
 #: ``insert`` flushes once this many inserts are pending, and ``_merge``

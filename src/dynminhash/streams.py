@@ -243,6 +243,8 @@ def load_graph_balls(edge_list_path, top_v: int, d: int, include_center: bool = 
     reachable in at most d hops along out-edges. d must be 1 or 2. The
     center itself is excluded unless include_center is set. Ties in
     out-degree break toward the smaller vertex id. top_v must be at least 1.
+    A line with one field or a non-integer vertex raises ValueError naming
+    its ``path:lineno``.
     """
     if d not in (1, 2):
         raise ValueError(f"ball radius {d} unsupported; use 1 or 2")
@@ -250,14 +252,17 @@ def load_graph_balls(edge_list_path, top_v: int, d: int, include_center: bool = 
         raise ValueError(f"top_v must be at least 1, got {top_v}")
     adjacency: dict = {}
     with open(edge_list_path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
             if len(parts) < 2:
-                raise ValueError(f"malformed edge line: {line!r}")
-            src, dst = int(parts[0]), int(parts[1])
+                raise ValueError(f"{edge_list_path}:{lineno}: malformed edge line: {line!r}")
+            try:
+                src, dst = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise ValueError(f"{edge_list_path}:{lineno}: {exc}") from exc
             adjacency.setdefault(src, set()).add(dst)
             adjacency.setdefault(dst, set())
     if not adjacency:

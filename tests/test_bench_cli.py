@@ -127,6 +127,14 @@ class TestBench:
             bench.acp_run(sets, k=64, ell=8, banding=BandingParams(b=12, r=5),
                           threshold=0.5, seed=1, negative_sample=sample)
 
+    @pytest.mark.parametrize("threshold", [1.5, 0.0, -0.2])
+    def test_acp_run_rejects_a_threshold_outside_the_unit_interval(self, threshold):
+        # 1.5 graded every pair as a true negative.
+        sets, _ = bench.make_planted_acp_corpus(4, 1, seed=1, universe_bits=16, base_size=80)
+        with pytest.raises(ValueError, match="threshold"):
+            bench.acp_run(sets, k=64, ell=8, banding=BandingParams(b=8, r=8),
+                          threshold=threshold, seed=1)
+
     def test_planted_corpus_shape(self):
         sets, planted = bench.make_planted_acp_corpus(40, 4, seed=7)
         assert len(sets) == 40
@@ -195,6 +203,22 @@ class TestCli:
         assert exc.value.code == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert f"argument {flag}:" in err and "at least 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["acp", "--synthetic-sets", "6", "--planted", "1", "--k", "64", "--ell", "8",
+         "--b", "8", "--r", "8"],
+        ["gen-pairs", "--pairs", "2"],
+    ])
+    @pytest.mark.parametrize("j", ["1.5", "0", "-0.2", "nan"])
+    def test_threshold_outside_the_unit_interval_rejected(self, argv, j, tmp_path, capsys):
+        # With --b and --r given, acp graded every pair against --j 1.5 (tp 0)
+        # or -0.2 and exited 0.
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--j", j, "--out", str(out)])
+        assert exc.value.code == EXIT_CONFIG_ERROR
+        assert "argument --j: must be in (0, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["fault-sweep", "--ell", "8"], ["rmse", "--reps", "3"],
@@ -266,6 +290,15 @@ class TestCli:
         code = run(["load-balls", "--edges", str(tmp_path / "nope.txt"),
                     "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_DATA_ERROR
+
+    @pytest.mark.parametrize("command", ["load-balls", "acp"])
+    def test_malformed_edge_list_is_data_error(self, command, tmp_path, capsys):
+        edges = tmp_path / "g.txt"
+        edges.write_text("1 2\n2 x\n")
+        code = run([command, "--edges", str(edges), "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_DATA_ERROR
+        assert capsys.readouterr().err == (f"error: malformed edge list: {edges}:2: "
+                                           "invalid literal for int() with base 10: 'x'\n")
 
     def test_acp_needs_dataset(self, tmp_path):
         assert run(["acp", "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG_ERROR

@@ -2,6 +2,7 @@ import hashlib
 import struct
 import tracemalloc
 from bisect import insort
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from hypothesis import strategies as st
 from dynminhash import core
 from dynminhash.core import MAX_ELL, TOP, BufferedSketch, Signature
 from dynminhash.errors import EmptySetError, RecoveryError
-from dynminhash.hashing import HashFamily, new_family
+from dynminhash.hashing import HashFamily, as_element_set, new_family
 from dynminhash.streams import SetStore, StreamOp
 
 from conftest import ref_signature
-from hash_oracles import fn, nibble_keys
+from hash_oracles import nibble_keys
 from sketch_reads import buffer_contents, split_key, state_equal, threshold, total_buffered
 
 
@@ -362,16 +363,61 @@ def _index_ops(seed, keys, n_ops):
     return ops, initial
 
 
-def _replay_model(monkeypatch, fam, ell, initial, ops):
+_DELETES = ("delete", "stale")
+
+
+def _read_after(ops, kinds=("insert",) + _DELETES):
+    """``ops`` with a ("read", None) after each op whose kind is in ``kinds``."""
+    out = []
+    for op in ops:
+        out.append(op)
+        if op[0] in kinds:
+            out.append(("read", None))
+    return out
+
+
+def _replay(fam, ell, ops, initial=()):
     """Replay ``ops`` from ``init(initial)`` on the sketch and on
-    ``_BufferModel``; after every delete, which first applies the inserts
-    queued before it, assert the model's buffers and thresholds and
-    ``_structure_faults`` (which compares a built index with the buffers).
-    Returns the counts of the cases the index must handle."""
-    events = dict.fromkeys((
-        "indexed_insert", "eviction", "delete_evicted", "delete_admitted", "duplicate_buffered",
-        "phantom", "fault", "delete_after_merge", "delete_after_fault", "stale"), 0)
-    evicted, admitted = set(), set()
+    ``_BufferModel``; returns the sketch and the counts of the cases the
+    stream reached.
+
+    Ops are ("insert", x), ("delete", x), ("stale", x), a delete whose
+    recovery returns a set that still holds x, ("roundtrip", None), a
+    checkpoint round trip, and ("read", None). The state is compared only
+    at reads, so the deletes between reads queue their removals. At a
+    read the signature equals the from-scratch one and the model's row
+    heads (or the sketch is empty), the model's rows and thresholds match,
+    ``check_invariants`` holds, at most k * ell pairs are buffered and the
+    faults equal the model's. After every op, each row's size plus its
+    queued removals is at most ell, so the queue never holds more than
+    k * ell entries.
+
+    The counts, of ops unless said otherwise:
+    - inserts of a member (``duplicate``); per-op inserts while the index
+      is built (``indexed_insert``), those that push a key out of a full
+      row (``eviction``) and those of an element the index holds
+      (``duplicate_buffered``); the model's inserts whose key ends last in
+      a row they fill (``last_slot``);
+    - deletes and stale deletes: of a non-member (``phantom``), of an
+      element an indexed insert evicted (``delete_evicted``) or admitted
+      (``delete_admitted``), right after a merged run
+      (``delete_after_merge``) or a fault (``delete_after_fault``); faults
+      (``fault``) and failed recoveries (``stale``);
+    - with removals queued: reads where a row has several
+      (``several_in_row``), deletes of a buffered 2^32 - 1
+      (``top_element_queued``), of a buffered TOP key (``top_key_queued``),
+      that fault (``fault_queued``) or fail (``stale_queued``), that flush
+      inserts too (``flush_both``) or a merged run (``merge_queued``), and
+      round trips (``roundtrip_queued``); the longest queue
+      (``most_queued``);
+    - ops other than inserts that flush a merged run into rows that all
+      hold the whole set (every threshold TOP), which ``_merge`` refills
+      with the union (``refill``), 2^32 - 1 in it (``top_refill``);
+    - inserts and deletes of an element with a key above its threshold
+      whose top 16 bits tie the threshold's (``prefix_tie_above``).
+    """
+    events = Counter()
+    top, evicted, admitted = 2**32 - 1, set(), set()
     insert_one = BufferedSketch._insert_one
 
     def observed_insert_one(sketch, x):
@@ -388,54 +434,99 @@ def _replay_model(monkeypatch, fam, ell, initial, ops):
         if x in where:
             admitted.add(x)
 
-    with monkeypatch.context() as m:
+    sketch = BufferedSketch.init(initial, fam, ell)
+    model = _BufferModel(fam, ell, [x for _, x in ops if x is not None] + list(initial))
+    model.rebuild(initial)
+    members, faulted = set(initial), False
+    faults = 0  # of the sketches that round trips replaced
+    dropped, queued = [], []  # the removal queue, and its rows
+    with pytest.MonkeyPatch.context() as m:
         m.setattr(BufferedSketch, "_insert_one", observed_insert_one)
-        sketch, model = BufferedSketch.init(initial, fam, ell), _BufferModel(fam, ell)
-        model.rebuild(initial)
-        members, faults, faulted = set(initial), 0, False
         for op, x in ops:
-            if op == "insert":
+            if op != "insert" and len(sketch._pending) >= core._MERGE_MIN and sketch._size[0] \
+                    and (sketch._delta == TOP).all():
+                events["refill"] += 1
+                events["top_refill"] += top in members
+            if x is not None:
+                events["prefix_tie_above"] += any(key > d and key >> 48 == d >> 48
+                                                  for key, d in zip(model.keys(x), model.delta))
+            if op == "read":
+                events["several_in_row"] += len(set(queued)) < len(queued)
+                if members:
+                    heads = [keys[0] >> 32 for keys in model.lists]
+                    assert sketch.signature().values.tolist() == heads
+                    assert heads == ref_signature(fam, members).tolist()
+                else:
+                    assert sketch.is_empty()
+                model.assert_matches(sketch)
+                assert sketch.check_invariants(members).ok
+                assert total_buffered(sketch) <= fam.k * ell
+                assert faults + sketch.fault_count == model.events["fault"]
+            elif op == "roundtrip":
+                events["roundtrip_queued"] += bool(queued)
+                faults += sketch.fault_count
+                data = sketch.to_bytes()
+                sketch = BufferedSketch.from_bytes(data, fam)
+                assert sketch.to_bytes() == data
+            elif op == "insert":
+                events["duplicate"] += x in members
                 members.add(x)
                 sketch.insert(x)
                 model.insert(x)
-                continue
-            events["phantom"] += x not in members
-            events["delete_evicted"] += x in members and x in evicted
-            events["delete_admitted"] += x in members and x in admitted
-            events["delete_after_merge"] += len(sketch._pending) >= core._MERGE_MIN
-            events["delete_after_fault"] += faulted
-            members.discard(x)
-            recovered = members | {x} if op == "stale" else members
-            try:
-                sketch.delete(x, lambda: list(recovered))
-            except RecoveryError:
-                assert op == "stale"
-                events["stale"] += 1
-                members.add(x)  # the sketch kept its pre-delete state
             else:
-                model.delete(x, members)
-            faulted = sketch.fault_count > faults
-            faults = sketch.fault_count
-            events["fault"] += faulted
-            model.assert_matches(sketch)
-            assert sketch._structure_faults() == []
-    return events
+                events["phantom"] += x not in members
+                events["delete_evicted"] += x in members and x in evicted
+                events["delete_admitted"] += x in members and x in admitted
+                events["delete_after_fault"] += faulted
+                pending = len(sketch._pending)
+                events["delete_after_merge"] += pending >= core._MERGE_MIN
+                events["flush_both"] += bool(pending and queued)
+                events["merge_queued"] += bool(pending >= core._MERGE_MIN and queued)
+                held = sketch._where.get(x, ()) if sketch._where is not None else ()
+                if queued and held:
+                    events["top_element_queued"] += x == top
+                    events["top_key_queued"] += any(e ^ (e & 0xFFFFFFFF) | x == TOP for e in held)
+                members.discard(x)
+                recovered = members | {x} if op == "stale" else members
+                before = sketch.fault_count
+                try:
+                    sketch.delete(x, lambda: list(recovered))
+                except RecoveryError:
+                    assert op == "stale"
+                    assert sketch._dropped == dropped  # the queue survives
+                    events["stale"] += 1
+                    events["stale_queued"] += bool(queued)
+                    members.add(x)  # the sketch kept its pre-delete state
+                else:
+                    model.delete(x, members)
+                faulted = sketch.fault_count > before
+                events["fault"] += faulted
+                events["fault_queued"] += faulted and bool(queued)
+            dropped = list(sketch._dropped)
+            queued = [e & 0xFFFFFFFF for entries in dropped[1::2] for e in entries]
+            assert (sketch._size + np.bincount(queued, minlength=fam.k).astype(np.int64) <= ell).all()
+            events["most_queued"] = max(events["most_queued"], len(queued))
+    events["last_slot"] = model.events["last_slot"]
+    return sketch, events
 
 
 class TestElementIndex:
     @pytest.mark.parametrize("k,ell,seed", [(4, 3, 1), (6, 1, 2), (16, 4, 3)])
-    def test_stream_ops_match_buffer_model(self, monkeypatch, k, ell, seed):
+    def test_stream_ops_match_buffer_model(self, k, ell, seed):
         """Per-op inserts that evict from full rows while the index is
         built, then deletes of evicted and admitted elements, re-inserts of
         buffered elements, phantom deletes, deletes right after a merge and
-        after a fault, and stale recoveries followed by more ops."""
+        after a fault, and stale recoveries followed by more ops; read after
+        every delete."""
         fam = new_family(k, seed)
         pool = np.random.default_rng(seed).choice(1 << 32, size=6000, replace=False).tolist()
         ops, initial = _index_ops(seed, dict(zip(pool, fam.keys_many(pool).tolist())), 1500)
-        events = _replay_model(monkeypatch, fam, ell, initial, ops)
-        assert min(events.values()) > 0, events
+        _, events = _replay(fam, ell, _read_after(ops, _DELETES), initial)
+        assert min(events[e] for e in (
+            "indexed_insert", "eviction", "delete_evicted", "delete_admitted", "duplicate_buffered",
+            "phantom", "fault", "delete_after_merge", "delete_after_fault", "stale")) > 0, events
 
-    def test_top_key_element_matches_buffer_model(self, monkeypatch):
+    def test_top_key_element_matches_buffer_model(self):
         """Element 2^32 - 1, whose key under function 0 of the crafted
         family is TOP: buffered in a row while the index is built, pushed
         out of that row when it fills, deleted, re-inserted, deleted as a
@@ -447,13 +538,13 @@ class TestElementIndex:
                ("insert", top), ("delete", 1), ("delete", 2), ("delete", top), ("delete", top),
                ("insert", top), ("insert", 4), ("delete", 3), ("insert", 5), ("delete", top),
                ("insert", top), ("delete", 4), ("delete", 5), ("stale", top), ("delete", top)]
-        events = _replay_model(monkeypatch, fam, 3, [1, 2], ops)
+        _, events = _replay(fam, 3, _read_after(ops, _DELETES), [1, 2])
         assert min(events[e] for e in ("eviction", "delete_evicted", "delete_admitted",
                                        "phantom", "fault", "stale")) > 0, events
         pool = [top] + list(range(10, 6000))
         ops, initial = _index_ops(5, dict(zip(pool, fam.keys_many(pool).tolist())), 700)
         ops = [(op, top if i % 9 == 4 else x) for i, (op, x) in enumerate(ops)]
-        _replay_model(monkeypatch, fam, 3, initial, ops)
+        _replay(fam, 3, _read_after(ops, _DELETES), initial)
 
 
 def _tied_top_key_family():
@@ -493,7 +584,7 @@ def _burst_ops(seed, pool, ell, bursts):
 class TestFilteredMerge:
     """A merge into rows whose thresholds are all below TOP builds only
     the keys whose top 16 bits pass (``HashFamily._keys_below``). Streams
-    are replayed against ``_BufferModel``, checked after every delete."""
+    are replayed (``_replay``) with a read after every delete."""
 
     @staticmethod
     def _observe(monkeypatch, ell):
@@ -541,7 +632,7 @@ class TestFilteredMerge:
         pool = np.random.default_rng(k).choice(1 << 32, size=6000, replace=False).tolist()
         ops, initial = _burst_ops(k, pool, ell, 24)
         seen = self._observe(monkeypatch, ell)
-        events = _replay_model(monkeypatch, fam, ell, initial, ops)
+        _, events = _replay(fam, ell, _read_after(ops, _DELETES), initial)
         assert events["fault"] > 0 and events["delete_after_merge"] > 0, events
         assert seen["merges"] > 0 and seen["crowded"] > 0, seen
         if narrow:
@@ -558,7 +649,7 @@ class TestFilteredMerge:
         pool[2 * ell + 8 + 5] = TestTopKeyElement.X  # in the first burst
         ops, initial = _burst_ops(7, pool, ell, 24)
         seen = self._observe(monkeypatch, ell)
-        _replay_model(monkeypatch, fam, ell, initial, ops)
+        _replay(fam, ell, _read_after(ops, _DELETES), initial)
         assert seen["top_key"] > 0, seen
         assert seen["top_tie"] > 0 or family is _top_key_family, seen
 
@@ -649,9 +740,7 @@ def _bounded_states(fam, ell, xs, rng):
     model inserts them one by one in a random order, ``init`` merges them
     into empty rows, and so does the rebuild when the delete of the only
     element of a sketch faults with ``xs`` recovered."""
-    model = _BufferModel(fam, ell)
-    # The model's keys of xs, from the nibble tables at once, vectorised.
-    model.keys = dict(zip(xs.tolist(), nibble_keys(fam, xs).tolist())).__getitem__
+    model = _BufferModel(fam, ell, xs)
     for x in rng.permutation(xs).tolist():
         model.insert(x)
     lone = int(np.setdiff1d(np.arange(len(xs) + 1, dtype=np.uint64), xs)[0])
@@ -930,59 +1019,37 @@ class TestSerialization:
     def test_restore_mid_stream_continues_bit_identically(self):
         rng = np.random.default_rng(53)
         fam = new_family(6, 53)
-        ops = [(bool(rng.random() < 0.6), int(x)) for x in rng.integers(0, 40, size=600)]
-
-        def run(restore_at):
-            sketch, members = BufferedSketch(fam, 3), set()
-            for j, (is_insert, x) in enumerate(ops):
-                if j == restore_at:
-                    sketch = BufferedSketch.from_bytes(sketch.to_bytes(), family=fam)
-                if is_insert:
-                    members.add(x)
-                    sketch.insert(x)
-                else:
-                    members.discard(x)
-                    sketch.delete(x, lambda: list(members))
-            return sketch
-
-        whole = run(None)
+        ops = [("insert" if rng.random() < 0.6 else "delete", int(x))
+               for x in rng.integers(0, 40, size=600)]
+        whole, _ = _replay(fam, 3, ops)
         for restore_at in (150, 300, 450):
-            assert run(restore_at).to_bytes() == whole.to_bytes()
+            restored, _ = _replay(fam, 3, ops[:restore_at] + [("roundtrip", None)] + ops[restore_at:])
+            assert restored.to_bytes() == whole.to_bytes()
 
 
-def _replay(seed, n_ops, k, ell, pool_size, universe=1 << 12):
-    """Replay a random mixed legal/non-legal stream, checking the oracle and
-    the invariants after every op. Returns the final sketch and store."""
+def _oracle_ops(seed, n_ops, pool_size):
+    """A random mixed legal/non-legal stream of inserts and deletes of
+    ``pool_size`` elements of [0, 2^12): about 30% of the ops are
+    non-legal."""
     rng = np.random.default_rng(seed)
-    fam = new_family(k, seed)
-    store = SetStore()
-    sketch = BufferedSketch(fam, ell)
-    recover = store.recovery_provider(0)
-    pool = rng.choice(universe, size=pool_size, replace=False)
+    pool = rng.choice(1 << 12, size=pool_size, replace=False)
+    members, ops = set(), []
     for _ in range(n_ops):
         x = int(pool[rng.integers(pool_size)])
-        present = x in store.contents(0)
+        present = x in members
         flip = rng.random() < 0.7
         do_insert = (not present) if flip else present
-        store.apply(StreamOp(0, x, 1 if do_insert else -1))
+        ops.append(("insert" if do_insert else "delete", x))
         if do_insert:
-            sketch.insert(x)
+            members.add(x)
         else:
-            sketch.delete(x, recover)
-        members = store.contents(0)
-        assert sketch.check_invariants(members).ok
-        assert total_buffered(sketch) <= k * ell
-        if members:
-            expect = ref_signature(fam, members)
-            assert np.array_equal(sketch.signature().values, expect)
-        else:
-            assert sketch.is_empty()
-    return sketch, store
+            members.discard(x)
+    return ops
 
 
 @pytest.mark.parametrize("seed,k,ell", [(0, 1, 1), (1, 4, 2), (2, 8, 8), (3, 3, 16)])
 def test_oracle_equivalence_random_streams(seed, k, ell):
-    _replay(seed, n_ops=300, k=k, ell=ell, pool_size=40)
+    _replay(new_family(k, seed), ell, _read_after(_oracle_ops(seed, n_ops=300, pool_size=40)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -994,28 +1061,13 @@ def test_oracle_equivalence_random_streams(seed, k, ell):
     ell=st.integers(min_value=1, max_value=4),
 )
 def test_signature_matches_rehash_oracle(ops, ell):
-    fam = new_family(3, 12345)
-    members = set()
-    sketch = BufferedSketch(fam, ell)
-    for is_insert, x in ops:
-        if is_insert:
-            members.add(x)
-            sketch.insert(x)
-        else:
-            members.discard(x)
-            sketch.delete(x, lambda: list(members))
-        assert sketch.check_invariants(members).ok
-        if members:
-            assert np.array_equal(
-                sketch.signature().values, ref_signature(fam, members)
-            )
-        else:
-            assert sketch.is_empty()
+    ops = [("insert" if is_insert else "delete", x) for is_insert, x in ops]
+    _replay(new_family(3, 12345), ell, _read_after(ops))
 
 
 def test_state_is_pure_function_of_seed_and_ops():
-    a, _ = _replay(99, n_ops=200, k=4, ell=4, pool_size=30)
-    b, _ = _replay(99, n_ops=200, k=4, ell=4, pool_size=30)
+    a, _ = _replay(new_family(4, 99), 4, _read_after(_oracle_ops(99, n_ops=200, pool_size=30)))
+    b, _ = _replay(new_family(4, 99), 4, _read_after(_oracle_ops(99, n_ops=200, pool_size=30)))
     assert a.to_bytes() == b.to_bytes()
     assert a.fault_count == b.fault_count
 
@@ -1064,18 +1116,18 @@ class _BufferModel:
     an admitted insert into a full list pushes out the last key and the new
     last key becomes the threshold. A delete that would empty a list rebuilds
     every list from the recovered set; any other delete removes the key and
-    keeps the threshold. ``events`` counts the cases a stream has exercised.
+    keeps the threshold. ``events`` counts the faults and the inserts
+    whose key ends last in a full list. ``elements`` holds every element
+    the model will see; their keys come from the nibble tables at once.
     """
 
-    def __init__(self, family, ell):
-        self.fns = [fn(family, i) for i in range(family.k)]
+    def __init__(self, family, ell, elements):
+        xs = as_element_set(elements)
+        self.keys = dict(zip(xs.tolist(), nibble_keys(family, xs).tolist())).__getitem__
         self.ell = ell
-        self.lists = [[] for _ in self.fns]
-        self.delta = [int(TOP)] * len(self.fns)
-        self.events = dict.fromkeys(("duplicate", "phantom", "fault", "last_slot"), 0)
-
-    def keys(self, x):
-        return [(fn(x) << 32) | x for fn in self.fns]
+        self.lists = [[] for _ in range(family.k)]
+        self.delta = [int(TOP)] * family.k
+        self.events = dict.fromkeys(("fault", "last_slot"), 0)
 
     def insert(self, x):
         for i, key in enumerate(self.keys(x)):
@@ -1101,8 +1153,9 @@ class _BufferModel:
             self.lists[i].remove(keys[i])
 
     def rebuild(self, members):
-        for i, fn in enumerate(self.fns):
-            keys = sorted((fn(x) << 32) | x for x in members)[:self.ell]
+        every = [self.keys(x) for x in members]
+        for i in range(len(self.lists)):
+            keys = sorted(row[i] for row in every)[:self.ell]
             self.lists[i] = keys
             self.delta[i] = keys[-1] if len(keys) == self.ell else int(TOP)
 
@@ -1124,19 +1177,19 @@ class _BufferModel:
     pytest.param(5, 4, True, id="narrow-k5-ell4"),
 ])
 def test_state_matches_buffer_model(k, ell, narrow):
-    """Buffers, sizes and thresholds equal the plain-Python model after every
-    op of a stream with duplicate inserts, phantom deletes and faults.
+    """Buffers, sizes and thresholds equal the plain-Python model, read
+    after every op of a stream with duplicate inserts, phantom deletes and
+    faults.
 
     A narrow family keeps only the low 17 bits of each hash, so the top 16
-    bits of every key and threshold are 0 or 1: the per-op prefix test then
-    passes most functions, and the exact key comparison must reject."""
+    bits of every key and threshold are 0 or 1, and keys above their
+    threshold tie its top 16 bits (``prefix_tie_above``)."""
     rng = np.random.default_rng(ell)
     fam = new_family(k, 100 + ell)
     if narrow:
         fam = HashFamily.from_tables(fam.tables & 0x1FFFF)
     pool = rng.choice(1 << 20, size=4 * ell + 16, replace=False).tolist()
-    sketch, model, members = BufferedSketch(fam, ell), _BufferModel(fam, ell), set()
-    prefix_false_positives = 0
+    members, ops = set(), []
     for step in range(2400):
         # Alternate phases that fill the buffers and drain the set to empty,
         # so faults happen at every ell. Many ops are non-legal.
@@ -1145,24 +1198,15 @@ def test_state_matches_buffer_model(k, ell, narrow):
             x = sorted(members)[rng.integers(len(members))]
         else:
             x = pool[rng.integers(len(pool))]
-        present = x in members
-        prefix_false_positives += any(key > d and key >> 48 == d >> 48
-                                    for key, d in zip(model.keys(x), model.delta))
-        insert = rng.random() < (0.02 if draining else 0.85 if present else 0.95)
-        if insert:
-            model.events["duplicate"] += present
+        if rng.random() < (0.02 if draining else 0.85 if x in members else 0.95):
+            ops.append(("insert", x))
             members.add(x)
-            sketch.insert(x)
-            model.insert(x)
         else:
-            model.events["phantom"] += not present
+            ops.append(("delete", x))
             members.discard(x)
-            sketch.delete(x, lambda: list(members))
-            model.delete(x, members)
-        model.assert_matches(sketch)
-        assert sketch._structure_faults() == []
-    assert min(model.events.values()) > 0, model.events
-    assert prefix_false_positives > 0 or not narrow
+    _, events = _replay(fam, ell, _read_after(ops))
+    assert min(events[e] for e in ("duplicate", "phantom", "fault", "last_slot")) > 0, events
+    assert events["prefix_tie_above"] > 0 or not narrow
 
 
 def _candidate_states(fam, ell, seed):
@@ -1239,12 +1283,7 @@ def test_per_op_insert_rejects_an_equal_hash_above_the_threshold(ell, ops):
     tables[0, 0, 1] = tables[0, 0, 0]
     fam = HashFamily.from_tables(tables)
     assert fam.key_one(0)[0] >> np.uint64(32) == fam.key_one(1)[0] >> np.uint64(32)
-    sketch, model = BufferedSketch(fam, ell), _BufferModel(fam, ell)
-    for x in ops:
-        sketch.insert(x)
-        model.insert(x)
-        model.assert_matches(sketch)
-        assert sketch._structure_faults() == []
+    _replay(fam, ell, _read_after([("insert", x) for x in ops]))
 
 
 def _bursty_ops(seed, ell):
@@ -1403,8 +1442,8 @@ def _burst_lengths(ops):
 
 
 def _queued_ops(seed, pool, ell, rounds, top=None):
-    """Ops for ``_replay_at_reads``: rounds of an insert burst, then a run
-    of at least 64 deletes with no read between them, then a read.
+    """Ops for ``_replay``: rounds of an insert burst, then a run of at
+    least 64 deletes with no read between them, then a read.
 
     A run deletes members in random order, mixed with phantom deletes.
     About a third of the runs drain the set and end with a stale delete of
@@ -1449,75 +1488,6 @@ def _queued_ops(seed, pool, ell, rounds, top=None):
     return ops
 
 
-def _replay_at_reads(fam, ell, ops, top=None):
-    """Replay ``ops`` (``_queued_ops``) on the sketch and on ``_BufferModel``,
-    comparing them only at reads, so that the deletes between reads queue
-    their removals. After every op, each row's size plus its queued
-    removals is at most ell, so the queue never holds more than k * ell
-    entries. Returns the counts of the queue states the stream reached,
-    and of the merges into rows that all hold the whole set (every
-    threshold TOP), which refill the rows with the union, 2^32 - 1 in it
-    or not."""
-    events = dict.fromkeys((
-        "several_in_row", "top_element_queued", "top_key_queued", "fault_queued", "stale_queued",
-        "flush_both", "merge_queued", "roundtrip_queued", "refill", "top_refill"), 0)
-    sketch, model, members = BufferedSketch(fam, ell), _BufferModel(fam, ell), set()
-    faults, most = 0, 0  # faults of the sketches replaced by a round trip
-    for op, x in ops:
-        dropped = list(sketch._dropped)
-        queued = [e & 0xFFFFFFFF for entries in dropped[1::2] for e in entries]
-        if op != "insert" and len(sketch._pending) >= core._MERGE_MIN and sketch._size[0] \
-                and (sketch._delta == TOP).all():
-            events["refill"] += 1
-            events["top_refill"] += top in members
-        if op == "insert":
-            members.add(x)
-            sketch.insert(x)
-            model.insert(x)
-        elif op == "read":
-            events["several_in_row"] += len(set(queued)) < len(queued)
-            if members:
-                heads = [keys[0] >> 32 for keys in model.lists]
-                assert sketch.signature().values.tolist() == heads
-            else:
-                assert sketch.is_empty()
-            model.assert_matches(sketch)
-            assert sketch._structure_faults() == []
-            assert faults + sketch.fault_count == model.events["fault"]
-        elif op == "roundtrip":
-            events["roundtrip_queued"] += bool(queued)
-            faults += sketch.fault_count
-            data = sketch.to_bytes()
-            sketch = BufferedSketch.from_bytes(data, fam)
-            assert sketch.to_bytes() == data
-        else:
-            held = sketch._where.get(x, ()) if sketch._where is not None else ()
-            if queued and held:
-                events["top_element_queued"] += x == top
-                events["top_key_queued"] += any(e ^ (e & 0xFFFFFFFF) | x == TOP for e in held)
-            pending = len(sketch._pending)
-            events["flush_both"] += bool(pending and queued)
-            events["merge_queued"] += bool(pending >= core._MERGE_MIN and queued)
-            members.discard(x)
-            recovered = members | {x} if op == "stale" else members
-            before = sketch.fault_count
-            try:
-                sketch.delete(x, lambda: list(recovered))
-            except RecoveryError:
-                assert op == "stale"
-                events["stale_queued"] += bool(queued)
-                assert sketch._dropped == dropped  # the queue survives
-                members.add(x)
-            else:
-                model.delete(x, members)
-                events["fault_queued"] += bool(queued and sketch.fault_count > before)
-        queued = [e & 0xFFFFFFFF for entries in sketch._dropped[1::2] for e in entries]
-        assert (sketch._size + np.bincount(queued, minlength=fam.k).astype(np.int64) <= ell).all()
-        most = max(most, len(queued))
-    assert most > ell
-    return events
-
-
 class TestRemovalQueue:
     """A delete's row removals wait in a queue until the next read (or the
     next flush of inserts), and a fault discards them; the state at every
@@ -1533,15 +1503,18 @@ class TestRemovalQueue:
         ``_merge`` refills with the union."""
         fam, top = new_family(k, 60 + seed), 2**32 - 1
         pool = np.random.default_rng(seed).choice(1 << 31, size=20000, replace=False).tolist()
-        events = _replay_at_reads(fam, ell, _queued_ops(seed, pool, ell, 40, top), top)
-        del events["top_key_queued"], events["top_refill"]
-        assert min(events.values()) > 0, events
+        _, events = _replay(fam, ell, _queued_ops(seed, pool, ell, 40, top))
+        assert min(events[e] for e in (
+            "several_in_row", "top_element_queued", "fault_queued", "stale_queued", "flush_both",
+            "merge_queued", "roundtrip_queued", "refill")) > 0, events
+        assert events["most_queued"] > ell, events
 
     def test_top_key_deleted_with_removals_queued(self):
         """Under the crafted family, 2^32 - 1's key in row 0 is TOP, which
         a search over the whole row must tell from the padding, and which a
         refill of rows that hold the whole set must take by row 0's size."""
         fam, top = _top_key_family(), TestTopKeyElement.X
-        events = _replay_at_reads(fam, 6, _queued_ops(14, list(range(10, 20000)), 6, 40, top), top)
+        _, events = _replay(fam, 6, _queued_ops(14, list(range(10, 20000)), 6, 40, top))
+        assert events["most_queued"] > 6, events
         assert events["top_key_queued"] > 0 and events["several_in_row"] > 0, events
         assert events["refill"] > 0 and events["top_refill"] > 0, events

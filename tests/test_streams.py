@@ -262,7 +262,10 @@ class TestGraphBalls:
             load_graph_balls(tmp_path / "absent.txt", top_v=1, d=1)
 
     def test_malformed_edge_rejected(self, tmp_path):
+        # A short line, then a non-integer vertex; blank and comment lines count.
         path = tmp_path / "bad.txt"
-        path.write_text("0\n")
-        with pytest.raises(ValueError):
-            load_graph_balls(path, top_v=1, d=1)
+        for text, lineno in (("0\n", 1), ("1 2\n\n3\n", 3), ("1 2\n2 x\n", 2),
+                             ("# src dst\nx 1\n", 2)):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{lineno}: "):
+                load_graph_balls(path, top_v=1, d=1)
