@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import _LOW, _SHIFT, TOP, Signature, _recover
 from .errors import EmptyRowError, EmptySetError, IllegalStreamError
-from .hashing import HashFamily, as_element, as_element_set, derive_seed, new_pairwise
+from .hashing import HashFamily, as_element, derive_seed, new_pairwise
 
 #: Row-selection constant for signature queries on the counter sketches.
 ALPHA = 0.1
@@ -41,7 +41,7 @@ class VanillaSketch:
     @classmethod
     def init(cls, elements, family: HashFamily) -> "VanillaSketch":
         sketch = cls(family)
-        sketch._entries = family.min_hashes(as_element_set(elements))
+        sketch._entries = family.min_hashes(elements)
         return sketch
 
     def insert(self, x: int) -> None:

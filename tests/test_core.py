@@ -17,7 +17,8 @@ from dynminhash.streams import SetStore, StreamOp
 
 from conftest import ref_signature
 from hash_oracles import nibble_keys
-from sketch_reads import buffer_contents, split_key, state_equal, threshold, total_buffered
+from sketch_reads import (buffer_contents, buffered, split_key, state_equal, threshold,
+                          total_buffered)
 
 
 def test_key_roundtrip():
@@ -379,7 +380,9 @@ def _read_after(ops, kinds=("insert",) + _DELETES):
 def _replay(fam, ell, ops, initial=()):
     """Replay ``ops`` from ``init(initial)`` on the sketch and on
     ``_BufferModel``; returns the sketch and the counts of the cases the
-    stream reached.
+    stream reached. The initial set is buffered at once (``buffered``), so
+    the stream's first ops meet the rows it fills, as they did when
+    ``init`` merged at once.
 
     Ops are ("insert", x), ("delete", x), ("stale", x), a delete whose
     recovery returns a set that still holds x, ("roundtrip", None), a
@@ -434,7 +437,7 @@ def _replay(fam, ell, ops, initial=()):
         if x in where:
             admitted.add(x)
 
-    sketch = BufferedSketch.init(initial, fam, ell)
+    sketch = buffered(BufferedSketch.init(initial, fam, ell))
     model = _BufferModel(fam, ell, [x for _, x in ops if x is not None] + list(initial))
     model.rebuild(initial)
     members, faulted = set(initial), False
@@ -672,10 +675,10 @@ def _bulk_states(monkeypatch, cap, family):
     """
     top = 2**32 - 1
     monkeypatch.setattr(core, "_PENDING_CAP", cap)
-    small = BufferedSketch.init([1, 2, top], family, _BLOCK_ELL)
+    small = buffered(BufferedSketch.init([1, 2, top], family, _BLOCK_ELL))
     states = [small.to_bytes()]
     members = list(range(100, 140)) + [top]
-    sketch = BufferedSketch.init(members, family, _BLOCK_ELL)
+    sketch = buffered(BufferedSketch.init(members, family, _BLOCK_ELL))
     states.append(sketch.to_bytes())
     left = set(members)
     for x in [e for _, e in buffer_contents(sketch, 0)]:
@@ -684,7 +687,7 @@ def _bulk_states(monkeypatch, cap, family):
         states.append((sketch.to_bytes(), sketch.fault_count, sketch.recovery_elements_streamed))
     assert sketch.fault_count >= 1
     monkeypatch.setattr(core, "_PENDING_CAP", _DEFAULT_CAP)
-    sketch = BufferedSketch.init(members[:-1], family, _BLOCK_ELL)
+    sketch = buffered(BufferedSketch.init(members[:-1], family, _BLOCK_ELL))
     run = list(range(200, 200 + core._MERGE_MIN)) + [top]
     for x in run:
         sketch.insert(x)
@@ -747,7 +750,7 @@ def _bounded_states(fam, ell, xs, rng):
     rebuilt = BufferedSketch.init([lone], fam, ell)
     rebuilt.delete(lone, lambda: xs.tolist())
     assert rebuilt.fault_count == 1
-    return model, BufferedSketch.init(xs, fam, ell), rebuilt
+    return model, buffered(BufferedSketch.init(xs, fam, ell)), rebuilt
 
 
 def _spy_capped_keys_below(monkeypatch):
@@ -866,10 +869,103 @@ class TestSignature:
         assert a != c
 
 
+class TestDeferredRead:
+    """``init`` of fewer than _PENDING_CAP elements queues them as pending
+    inserts; a read of the empty rows is their per-function minimum
+    (``HashFamily.min_hashes``), taken without a flush and kept until the
+    next insert. Sizes straddle the flush's per-op/merge cut and the
+    queue's cap, with 2^32 - 1 among the elements, under a random, a
+    narrow (the low 17 bits of each hash) and the TOP-key family."""
+
+    SIZES = [0, 1, core._MERGE_MIN - 1, core._MERGE_MIN, core._PENDING_CAP - 1, core._PENDING_CAP]
+    KINDS = ["random", "narrow", "top_key"]
+    ELL = 4
+
+    @staticmethod
+    def _family(kind):
+        if kind == "top_key":
+            return _top_key_family()
+        fam = new_family(8, 61)
+        return HashFamily.from_tables(fam.tables & 0x1FFFF) if kind == "narrow" else fam
+
+    @staticmethod
+    def _elements(n):
+        """n distinct elements, unsorted, 2^32 - 1 first."""
+        xs = np.random.default_rng(n).choice(2**32 - 1, size=n, replace=False).astype(np.uint64)
+        xs[:1] = 2**32 - 1
+        return xs
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_read_is_the_minimum_of_the_queued_elements(self, kind, n):
+        fam, xs = self._family(kind), self._elements(n)
+        sketch = BufferedSketch.init(xs, fam, self.ELL)
+        merged = BufferedSketch(fam, self.ELL)
+        merged._merge(as_element_set(xs))
+        if n == 0:
+            with pytest.raises(EmptySetError):
+                sketch.signature()
+        else:
+            sig = sketch.signature()
+            deferred = n < core._PENDING_CAP
+            assert (len(sketch._pending), sketch._size[0] == 0) == (n if deferred else 0, deferred)
+            want = (fam.min_hashes(xs) >> np.uint64(32)).tolist()
+            assert sig.values.tolist() == want
+            sig.values[:] = 0  # a caller's write does not reach the next read
+            assert sketch.signature().values.tolist() == want
+            assert buffered(sketch).signature().values.tolist() == want
+        assert sketch.to_bytes() == merged.to_bytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_second_read_hashes_nothing(self, monkeypatch, kind):
+        """The first read hashes each element once per function and keys
+        none of them in bulk; the second hashes nothing."""
+        fam, xs = self._family(kind), self._elements(core._PENDING_CAP - 1)
+        sketch = BufferedSketch.init(xs, fam, self.ELL)
+        hashed, hashes = [], HashFamily._hashes
+
+        def counted(family, ys, *rest):
+            hashed.append(ys.size)
+            return hashes(family, ys, *rest)
+
+        def refused(*args):
+            raise AssertionError("keys_many on the read of queued elements")
+
+        monkeypatch.setattr(HashFamily, "_hashes", counted)
+        monkeypatch.setattr(HashFamily, "keys_many", refused)
+        first = sketch.signature()
+        assert sum(hashed) == xs.size
+        assert sketch.signature() == first and sum(hashed) == xs.size
+
+    @pytest.mark.parametrize("n", SIZES[1:])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_ops_after_init_match_buffer_model(self, kind, n):
+        """An insert after a read, which the next read sees, and a delete
+        of 2^32 - 1 right after ``init``."""
+        fam, xs, ell = self._family(kind), self._elements(n), self.ELL
+        fresh = int(np.setdiff1d(np.arange(n + 1, dtype=np.uint64), xs)[0])
+        model = _BufferModel(fam, ell, xs.tolist() + [fresh])
+        model.rebuild(xs.tolist())
+        sketch = BufferedSketch.init(xs, fam, ell)
+        sketch.signature()
+        sketch.insert(fresh)
+        model.insert(fresh)
+        assert sketch.signature().values.tolist() == [keys[0] >> 32 for keys in model.lists]
+        model.assert_matches(sketch)
+
+        left = xs[1:].tolist()
+        model.rebuild(xs.tolist())
+        sketch = BufferedSketch.init(xs, fam, ell)
+        sketch.delete(2**32 - 1, lambda: left)
+        model.delete(2**32 - 1, left)
+        model.assert_matches(sketch)
+        assert sketch.check_invariants(left).ok
+
+
 class TestCheckInvariants:
     def test_detects_injected_pair_above_threshold(self):
         fam = new_family(2, 19)
-        sk = BufferedSketch.init(range(50), fam, 4)
+        sk = buffered(BufferedSketch.init(range(50), fam, 4))
         # Replace the largest buffered pair with one above the threshold.
         sk._buf[0, 3] = TOP - np.uint64(1)
         report = sk.check_invariants(range(50))
@@ -886,7 +982,7 @@ class TestCheckInvariants:
 
     def test_detects_emptiness_violation(self):
         fam = new_family(1, 29)
-        sk = BufferedSketch.init(range(10), fam, 3)
+        sk = buffered(BufferedSketch.init(range(10), fam, 3))
         sk._size[0] = 0
         sk._buf[0] = TOP
         report = sk.check_invariants(range(10))
@@ -1004,7 +1100,7 @@ class TestSerialization:
     @pytest.mark.parametrize("mutate", [_swap_first_keys, _forge_element, _lower_threshold,
                                         _raise_threshold, _empty_one_row])
     def test_unreachable_state_rejected(self, mutate):
-        sk = BufferedSketch.init(range(40), new_family(3, 47), 4)
+        sk = buffered(BufferedSketch.init(range(40), new_family(3, 47), 4))
         rows = _rows(sk)
         assert _checkpoint(sk, rows) == sk.to_bytes()
         mutate(rows)

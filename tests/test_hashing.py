@@ -203,15 +203,39 @@ def test_eval_rejects_out_of_universe():
         h(-1)
 
 
+def _tied_family():
+    """Eight functions under which 3, 0x300 and 0x303 all hash to 0, the
+    least hash, and no other element of ``range(0x10, 0x40)`` does."""
+    tables = new_family(8, 6).tables.copy()
+    tables[:, :, 0] = 0
+    tables[:, 0, 3] = tables[:, 2, 3] = 0
+    return HashFamily.from_tables(tables)
+
+
 def test_min_hashes_matches_direct_min(monkeypatch):
-    fam = new_family(16, 5)
+    """Against the keys' column minimum and the nibble oracle's; a tie on a
+    function's least hash goes to the smaller element, within a block and
+    across blocks; unsorted input with repeats reads as its set. Blocks of
+    7 elements must not change the result."""
+    fam, tied = new_family(16, 5), _tied_family()
     xs = np.arange(1000, dtype=np.uint64)
-    keys = fam.keys_many(xs)
-    direct = keys.min(axis=0)
-    assert np.array_equal(fam.min_hashes(xs), direct)
-    # blocks of 7 elements must not change the result
-    monkeypatch.setattr(hashing, "_GATHER_KEYS", 7 * fam.k)
-    assert np.array_equal(fam.min_hashes(xs), direct)
+    direct = fam.keys_many(xs).min(axis=0)
+    assert np.array_equal(direct, nibble_keys(fam, xs).min(axis=0))
+    shuffled = np.random.default_rng(5).permutation(np.concatenate((xs, xs[::3], xs[-7:])))
+    rest = list(range(0x10, 0x40))
+    for block in (None, 7):
+        if block is not None:
+            monkeypatch.setattr(hashing, "_GATHER_KEYS", block * fam.k)
+        assert np.array_equal(fam.min_hashes(xs), direct)
+        assert np.array_equal(fam.min_hashes(shuffled), direct)
+        assert np.array_equal(fam.min_hashes(shuffled.tolist()), direct)
+        if block is not None:
+            monkeypatch.setattr(hashing, "_GATHER_KEYS", block * tied.k)
+        for members, winner in (([0x303, 0x300, 3], 3), ([0x303, 0x300], 0x300)):
+            ys = np.array(members + rest + members[::-1], dtype=np.uint64)
+            want = nibble_keys(tied, np.unique(ys)).min(axis=0)
+            assert want.tolist() == [winner] * tied.k  # hash 0, element ``winner``
+            assert np.array_equal(tied.min_hashes(ys), want)
 
 
 def test_output_bits_are_uniform():

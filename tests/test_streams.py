@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -54,6 +55,22 @@ class TestSetStore:
         for x in range(5):
             store.apply(StreamOp(3, x, 1))
         assert sorted(store.recover(3)) == list(range(5))
+
+    def test_recover_after_a_shrink(self):
+        """A set that grew to 2^12 and shrank to 4 recovers the same
+        elements and counts, twice, and is stored back compact."""
+        store, stale = SetStore(), set(range(1 << 12))
+        for x in range(1 << 12):
+            store.apply(StreamOp(5, x, 1))
+        for x in range(4, 1 << 12):
+            store.apply(StreamOp(5, x, -1))
+            stale.discard(x)
+        for served in (1, 2):
+            assert sorted(store.recover(5)) == [0, 1, 2, 3]
+            assert (store.recovery_queries_served, store.elements_streamed) == (served, 4 * served)
+        assert sys.getsizeof(store._sets[5]) < sys.getsizeof(stale) // 100
+        assert store.apply(StreamOp(5, 4, 1)) and not store.apply(StreamOp(5, 0, 1))
+        assert sorted(store.recover(5)) == [0, 1, 2, 3, 4]
 
     def test_recover_unknown_raises(self):
         with pytest.raises(KeyError):
