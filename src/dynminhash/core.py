@@ -75,13 +75,15 @@ _PENDING_CAP = 4096
 #: ell elements keys only the pairs at or below one bound; a smaller one
 #: keys all the pairs of its first _PENDING_CAP elements and partitions
 #: them. The bound's prefix scan and its grouping cost more than keying
-#: everything on small sets. Measured at k=256, ell=32 on a 2-vCPU host,
-#: keyed in full against bounded: 0.74
-#: against 1.47 ms at 300 elements, 2.12 against 2.16 at 1100, 2.52
-#: against 2.28 at 1300 and 5.47 against 2.56 at 4096; so the crossover
-#: is at 1000-1300 elements. It falls later per unit of ell at small ell
-#: (about 400 elements at ell=8, 160 at ell=2), where more rows have too
-#: few pairs under the bound.
+#: everything on small sets. Measured at k=256 on a 2-vCPU host (median of
+#: 4 families x 7 fills, alternated), keyed in full against bounded: at
+#: ell=32, 1.05 against 1.54 ms at 640 elements, 1.58 against 1.66 at
+#: 1100, 1.85-2.09 against 1.81-2.20 at 1280 and 2.27 against 1.88 at
+#: 1600, so the crossover is at 1200-1300 elements. It falls later per
+#: unit of ell at small ell, where the bound's fixed cost weighs more:
+#: about 450 elements at ell=8 (0.65 against 0.71 ms at 400, 0.91 against
+#: 0.79 at 600) and 240 at ell=2 (0.34-0.39 against 0.38-0.50 ms at 160,
+#: 0.54-0.60 against 0.48-0.59 at 320).
 _BOUND_MIN = 40
 
 
@@ -155,11 +157,14 @@ class BufferedSketch:
 
     Inserts are deferred: each is validated at once and applied when the
     state is next read (``delete``, ``signature``, ``to_bytes``,
-    ``is_empty``, ``check_invariants``) or when _PENDING_CAP are pending.
+    ``check_invariants``) or when _PENDING_CAP are pending.
     ``init`` of fewer than _PENDING_CAP elements queues them the same way.
     While the rows are empty, ``signature`` reads the pending elements'
     minimum instead (``HashFamily.min_hashes``) and leaves them queued, so
-    a set that is built and only read never fills its rows.
+    a set that is built and only read never fills its rows; ``is_empty``
+    reads the queue and row 0's size. Empty rows are filled (``_fill``) by
+    keying only the pairs under one bound with a margin, or, for a small
+    set or a rare short row, every pair of the first _PENDING_CAP elements.
     A delete updates the element index and the row sizes at once, but
     queues the removal of x's keys from their rows, which the next flush
     applies before the pending inserts and a fault discards (its rebuild
@@ -205,10 +210,12 @@ class BufferedSketch:
         # one is a key still in a row that the index no longer lists.
         self._dropped = []
         self._where = None
-        # (pending count, signature values) of the last read of empty rows;
-        # rows only turn empty here, and until they hold keys the pending
-        # list only grows, so its length tells whether the read is current.
-        self._read = None
+        # (count, values): the signature values of the first count pending
+        # elements, as the last read of empty rows took them; TOP, above
+        # every hash, stands for none. Rows only turn empty here, and until
+        # they hold keys the pending list only grows, so a read hashes only
+        # the elements past count.
+        self._read = (0, TOP)
 
     @classmethod
     def init(cls, elements, family: HashFamily, ell: int) -> "BufferedSketch":
@@ -355,10 +362,11 @@ class BufferedSketch:
         a row that ends full takes its last key as threshold. That gives
         two regimes. While every threshold is TOP, every row holds the
         whole set, so the rows are refilled from empty (``_fill``) with the
-        union of row 0's elements and ``xs``. Otherwise, and for the blocks
-        of _PENDING_CAP elements that ``_fill`` leaves, only the keys at or
-        below the thresholds are built (``HashFamily._keys_below``) and
-        merged into the rows.
+        union of row 0's elements and ``xs``: at once under one margined
+        bound, or, on the fill's one fallback, from the first _PENDING_CAP
+        elements. Otherwise, and for the blocks of _PENDING_CAP elements
+        that fallback leaves, only the keys at or below the thresholds are
+        built (``HashFamily._keys_below``) and merged into the rows.
         """
         self._where = None
         k, ell, size, delta = self.family.k, self.ell, self._size, self._delta
@@ -388,47 +396,37 @@ class BufferedSketch:
         the elements it did not take, for ``_merge``'s blocks. Any key the
         rows held before is overwritten.
 
-        At least _BOUND_MIN * ell elements go in at once, keying only the
-        pairs under one bound. Hashes are uniform, so with n = |xs| each row
-        expects mu = 7 ell / 4 keys at or below the bound B of hash mu / n *
-        2^32, and B is far below TOP. A row with at least ell of them takes
-        its ell smallest: they are the row's smallest keys, whatever the
-        hashes. Only a row with fewer (about 0.1 rows per merge at k=256,
-        ell=32; every row of a family whose hashes all exceed B) keys all n
-        of its pairs, at most _PENDING_CAP * k keys at a time, as a block of
-        ``_merge`` holds. Every row ends full, since n > ell. A pair that
-        passes the prefix test takes about four 8-byte words on its way to
-        a key, so the scan gives up past a quarter of a block's pairs,
-        _PENDING_CAP * k / 4, against about k * (mu + n / 2^16) for uniform
-        hashes.
+        A set of n >= _BOUND_MIN * ell elements goes in at once, keying only
+        the pairs under one bound. Hashes are uniform, so each row expects
+        mu = (7 ell + 32) / 4 keys at or below the bound B of hash mu / n *
+        2^32, and B is far below TOP. When every row has at least ell of
+        them, each takes its ell smallest: they are the row's smallest keys,
+        whatever the hashes. Simple tabulation obeys Chernoff-type bounds
+        (Patrascu and Thorup, "The Power of Simple Tabulation Hashing"), and
+        the margin of 8 keys over 7 ell / 4 leaves a row short in at most
+        about 5% of the fills at k=256, for every ell up to 64 (Poisson
+        model). A pair that passes the prefix test takes about four 8-byte
+        words on its way to a key, so the scan gives up past a quarter of a
+        block's pairs, _PENDING_CAP * k / 4, against about k * (mu + n /
+        2^16) for uniform hashes.
 
-        A smaller set, or one from a family whose hashes crowd under B (say,
-        all below 2^17), keys all the pairs of its first _PENDING_CAP
-        elements and keeps each row's ell smallest, a TOP key too.
+        Any other fill, of a smaller set, with a short row, or from a family
+        whose hashes crowd under B (say, all below 2^17), keys all the pairs
+        of its first _PENDING_CAP elements and keeps each row's ell
+        smallest, a TOP key too.
         """
         family, k, ell, n = self.family, self.family.k, self.ell, xs.size
-        found = None
+        rows = None
         if n >= _BOUND_MIN * ell:
-            bound = ((7 * ell << 32) // (4 * n)) << 32 | 0xFFFFFFFF
+            bound = (((7 * ell + 32) << 32) // (4 * n)) << 32 | 0xFFFFFFFF
             found = family._keys_below(xs, np.full(k, bound, dtype=np.uint64), _PENDING_CAP * k // 4)
-        if found is None:
+            if found is not None and np.bincount(found[0], minlength=k).min() >= ell:
+                rows, xs = self._by_row(*found), xs[:0]
+        if rows is None:
             rows, xs = family.keys_many(xs[:_PENDING_CAP]).T, xs[_PENDING_CAP:]  # (k, block)
             if rows.shape[1] > ell:
                 rows.partition(ell - 1, axis=1)
                 rows = rows[:, :ell]
-        else:
-            got = self._by_row(*found)
-            rows = np.full((k, ell), TOP, dtype=np.uint64)
-            rows[:, :got.shape[1]] = got
-            short = np.flatnonzero(rows[:, ell - 1] == TOP)  # no key under B is TOP
-            step = max(1, _PENDING_CAP * k // n)
-            for start in range(0, short.size, step):
-                fns = short[start:start + step]
-                every = np.left_shift(family._hashes(xs[None, :], fns[:, None]), 32, dtype=np.uint64)
-                every |= xs
-                every.partition(ell - 1, axis=1)
-                rows[fns] = every[:, :ell]
-            xs = xs[n:]
         rows.sort(axis=1)
         self._buf[:, :rows.shape[1]] = rows
         self._buf[:, rows.shape[1]:] = TOP
@@ -554,8 +552,9 @@ class BufferedSketch:
 
         Rows that hold keys are read in O(k) after a flush. While the rows
         are empty, the signature is the minimum of the n pending elements
-        (``HashFamily.min_hashes``, O(n k)), read without a flush and kept
-        until the next insert, so a second read costs O(k). ``init`` of a
+        (``HashFamily.min_hashes``), read without a flush. The minimum is
+        kept and each read folds in only the elements inserted since the
+        last, so a read costs O(k) plus O(k) per new element. ``init`` of a
         300-element set and one read took 0.20-0.24 ms at k=256, ell=32
         (2-vCPU host, median of 21, three runs), against 0.48-0.54 ms when
         ``init`` merged the set into the rows.
@@ -564,10 +563,11 @@ class BufferedSketch:
             pending = self._pending
             if not pending:
                 raise EmptySetError("signature undefined for an empty set")
-            read = self._read
-            if read is None or read[0] != len(pending):
-                read = self._read = (len(pending), self.family.min_hashes(pending) >> _SHIFT)
-            return Signature(read[1].copy(), self.family.family_key)
+            count, values = self._read
+            if count < len(pending):
+                values = np.minimum(values, self.family.min_hashes(pending[count:]) >> _SHIFT)
+                self._read = (len(pending), values)
+            return Signature(values.copy(), self.family.family_key)
         if self._pending or self._dropped:
             self._flush()
         return Signature(self._buf[:, 0] >> _SHIFT, self.family.family_key)
@@ -579,8 +579,10 @@ class BufferedSketch:
         return self.family.k
 
     def is_empty(self) -> bool:
-        self._flush()
-        return int(self._size[0]) == 0
+        """Whether the tracked set is empty, without a flush: a pending
+        insert adds an element, and a delete that would empty a row faults,
+        so row 0 is empty only when the set is."""
+        return not (self._pending or self._sizev[0])
 
     def _structure_faults(self) -> list:
         """Violations visible without the tracked set, in O(k * ell).

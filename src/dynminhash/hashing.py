@@ -132,25 +132,10 @@ class HashFamily:
             tables[i] = _tables_from_seed(derive_seed(master_seed, i))
         self._adopt(tables, master_seed)
 
-    @classmethod
-    def from_tables(cls, tables, master_seed: int = 0) -> "HashFamily":
-        """Build a family directly from a (k, 8, 16) table array.
-
-        Functions built this way are not reproducible from per-function
-        seeds; intended for tests and experiments with crafted hashes.
-        """
-        t = np.ascontiguousarray(tables, dtype=np.uint32)
-        if t.ndim != 3 or t.shape[1:] != (8, 16):
-            raise ValueError(f"tables must have shape (k, 8, 16), got {t.shape}")
-        if t.shape[0] < 1:
-            raise ValueError(f"family size k must be >= 1, got {t.shape[0]}")
-        obj = cls.__new__(cls)
-        obj._adopt(t, master_seed)
-        return obj
-
     def _adopt(self, tables: np.ndarray, master_seed: int) -> None:
         # Takes (k, 8, 16) uint32 tables as the family's, read-only, with
-        # every table derived from them left to build on first use.
+        # every table derived from them left to build on first use. Tests
+        # build families of crafted tables through it.
         tables.setflags(write=False)
         self.k = tables.shape[0]
         self.master_seed = int(master_seed)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dynminhash.hashing import HashFamily
+from hash_oracles import family_from_tables
 
 
 def ref_min_keys(family, elements):
@@ -25,7 +26,7 @@ def identity_family(k: int = 1) -> HashFamily:
     """Crafted family with h_i(x) = x for x < 16 (all functions identical)."""
     tables = np.zeros((k, 8, 16), dtype=np.uint32)
     tables[:, 0, :] = np.arange(16, dtype=np.uint32)
-    return HashFamily.from_tables(tables, master_seed=999)
+    return family_from_tables(tables, master_seed=999)
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ lookup per 4-bit slice, so tests can check the byte-wide paths against them.
 
 import numpy as np
 
-from dynminhash.hashing import MAX_UNIVERSE, _tables_from_seed, derive_seed
+from dynminhash.hashing import MAX_UNIVERSE, HashFamily, _tables_from_seed, derive_seed
 
 
 class TabulationHash:
@@ -50,6 +50,19 @@ class TabulationHash:
         h ^= int(t[6, (x >> 24) & 15])
         h ^= int(t[7, (x >> 28) & 15])
         return h
+
+
+def family_from_tables(tables, master_seed: int = 0) -> HashFamily:
+    """A family built directly from a (k, 8, 16) table array, for crafted
+    hashes; its functions are not reproducible from per-function seeds."""
+    t = np.ascontiguousarray(tables, dtype=np.uint32)
+    if t.ndim != 3 or t.shape[1:] != (8, 16):
+        raise ValueError(f"tables must have shape (k, 8, 16), got {t.shape}")
+    if t.shape[0] < 1:
+        raise ValueError(f"family size k must be >= 1, got {t.shape[0]}")
+    family = HashFamily.__new__(HashFamily)
+    family._adopt(t, master_seed)
+    return family
 
 
 def fn(family, i: int) -> TabulationHash:

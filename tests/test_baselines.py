@@ -6,11 +6,12 @@ import pytest
 from dynminhash.baselines import ALPHA, BssProactiveSketch, BssSketch, VanillaSketch
 from dynminhash.core import TOP
 from dynminhash.errors import EmptyRowError, EmptySetError, IllegalStreamError, RecoveryError
-from dynminhash.hashing import HashFamily, new_family
+from dynminhash.hashing import new_family
 from dynminhash.similarity import estimate_jaccard, exact_jaccard
 from dynminhash.streams import PairGenConfig, gen_correlated_pair
 
 from conftest import ref_min_keys, ref_signature
+from hash_oracles import family_from_tables
 
 
 class TestVanilla:
@@ -137,7 +138,7 @@ def _top_key_family():
     tables = new_family(3, 59).tables.copy()
     tables[0, :, 15] = 0
     tables[0, 7, 15] = 0xFFFFFFFF
-    return HashFamily.from_tables(tables)
+    return family_from_tables(tables)
 
 
 class TestVanillaTopKeyElement:

@@ -12,7 +12,7 @@ from dynminhash.hashing import (
     new_pairwise,
 )
 
-from hash_oracles import TabulationHash, fn, nibble_keys
+from hash_oracles import TabulationHash, family_from_tables, fn, nibble_keys
 
 
 def unrolled_eval(tables, x):
@@ -117,7 +117,7 @@ def test_keys_below_is_the_brute_force_filter_by_function_then_element(monkeypat
     None once more pairs pass the prefix test than the cap."""
     fam = new_family(k, 300 + k)
     if narrow:
-        fam = HashFamily.from_tables(fam.tables & 0x1FFFF)
+        fam = family_from_tables(fam.tables & 0x1FFFF)
     if block is not None:
         monkeypatch.setattr(hashing, "_GATHER_KEYS", block * k)
     rng, pick = np.random.default_rng(k), np.random.default_rng(400 + k)
@@ -152,7 +152,7 @@ def test_keys_under_is_the_brute_force_filter_under_one_bound(k, narrow):
     than its cap."""
     fam = new_family(k, 400 + k)
     if narrow:
-        fam = HashFamily.from_tables(fam.tables & 0x1FFFF)
+        fam = family_from_tables(fam.tables & 0x1FFFF)
     rng = np.random.default_rng(k)
     xs = hashing.as_element_set(rng.integers(0, 1 << 32, size=400, dtype=np.uint64))
     every = nibble_keys(fam, xs).T
@@ -209,7 +209,7 @@ def _tied_family():
     tables = new_family(8, 6).tables.copy()
     tables[:, :, 0] = 0
     tables[:, 0, 3] = tables[:, 2, 3] = 0
-    return HashFamily.from_tables(tables)
+    return family_from_tables(tables)
 
 
 def test_min_hashes_matches_direct_min(monkeypatch):
@@ -290,12 +290,12 @@ def test_from_tables_shape_validation():
     with pytest.raises(ValueError):
         TabulationHash.from_tables(np.zeros((4, 16), dtype=np.uint32))
     with pytest.raises(ValueError):
-        HashFamily.from_tables(np.zeros((2, 8, 15), dtype=np.uint32))
+        family_from_tables(np.zeros((2, 8, 15), dtype=np.uint32))
 
 
 def test_from_tables_rejects_an_empty_family():
     # Once accepted, and every sketch over it failed in its memoryview casts.
     with pytest.raises(ValueError, match="k must be >= 1"):
-        HashFamily.from_tables(np.zeros((0, 8, 16), dtype=np.uint32))
+        family_from_tables(np.zeros((0, 8, 16), dtype=np.uint32))
     with pytest.raises(ValueError, match="k must be >= 1"):
         HashFamily(0, 1)
