@@ -555,9 +555,10 @@ class BufferedSketch:
         (``HashFamily.min_hashes``), read without a flush. The minimum is
         kept and each read folds in only the elements inserted since the
         last, so a read costs O(k) plus O(k) per new element. ``init`` of a
-        300-element set and one read took 0.20-0.24 ms at k=256, ell=32
-        (2-vCPU host, median of 21, three runs), against 0.48-0.54 ms when
-        ``init`` merged the set into the rows.
+        300-element set and one read took 0.16-0.26 ms at k=256, ell=32
+        (2-vCPU host, median of 101, four processes), against 0.20-0.33 ms
+        when ``min_hashes`` reduced full uint32 hash blocks (0.38-0.64 ms
+        in a process that had freed no large array before).
         """
         if not self._sizev[0]:  # no removal is queued into empty rows
             pending = self._pending

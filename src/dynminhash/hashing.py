@@ -4,7 +4,11 @@ Elements are 0-based unsigned values in [0, 2^32). All hash functions map
 such 32-bit keys to 32-bit values and are fully determined by their seed, so
 every experiment is bit-reproducible from a single master seed. Every
 element that enters a sketch passes ``as_element`` or ``as_element_set``,
-and ``keys_many`` and ``min_hashes`` check theirs the same way.
+and ``keys_many`` and ``min_hashes`` check theirs the same way. As
+tabulation is a plain XOR, the top 16 bits of a hash are the XOR of four
+16-bit table entries; the bulk paths that keep few keys (``min_hashes``
+and the bounded merge) scan those prefixes and key in full only the pairs
+that pass.
 """
 
 from __future__ import annotations
@@ -18,10 +22,9 @@ MAX_UNIVERSE = 1 << 32
 
 _U64 = (1 << 64) - 1
 
-#: Hashes per gather block in ``HashFamily.keys_many`` and
-#: ``HashFamily.min_hashes`` (512 KiB of uint32 each; ``min_hashes`` keys
-#: only its k minima, so it forms no uint64 block) and per prefix block of
-#: ``HashFamily._keys_below`` (256 KiB of uint16).
+#: Hashes per gather block: of ``HashFamily.keys_many`` (512 KiB of
+#: uint32) and of the prefix scan that ``HashFamily.min_hashes`` and
+#: ``HashFamily._keys_below`` share (256 KiB of uint16).
 _GATHER_KEYS = 1 << 17
 
 # splitmix64 constants, used to derive independent per-function subseeds from
@@ -82,6 +85,13 @@ def as_element_set(elements) -> np.ndarray:
     return _sorted_set(_as_elements(elements))
 
 
+def _element_bytes(xs: np.ndarray) -> np.ndarray:
+    """(4, n) intp: row t holds byte t (little-endian) of each uint64
+    element of ``xs``, on either host byte order; intp, so that a table
+    index such as ``byte * k + fn`` cannot overflow."""
+    return xs.astype("<u4").view(np.uint8).reshape(-1, 4).T.astype(np.intp)
+
+
 def _splitmix64(z: int) -> int:
     z = (z + _GAMMA) & _U64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
@@ -110,14 +120,12 @@ class HashFamily:
     - one element's k hashes, from one gather of four rows
       (``_hash_one``), which ``key_one`` and the per-op insert share;
     - a block of elements' hashes (``_hashes``), which ``keys_many`` and
-      ``keys_at`` key, and which ``min_hashes`` reduces to one key per
-      function before it keys anything;
-    - exact keys of the pairs that pass the prefix scan
-      (``_keys_below``).
-
-    The bulk scan of ``_keys_below`` first filters on the top 16 bits of
-    those values, a (4, 256, k) uint16 table (512 KiB at k=256) built on
-    first use (``_prefix_tables``).
+      ``keys_at`` key;
+    - the prefix scan (``_prefixes``): the top 16 bits of a block of
+      elements' hashes, from a (4, 256, k) uint16 table (512 KiB at
+      k=256) built on first use (``_prefix_tables``). ``min_hashes`` and
+      ``_keys_below`` run it, then key exactly only the pairs that pass
+      (``_pair_keys``).
     """
 
     __slots__ = ("k", "master_seed", "tables", "_packed", "_prefix")
@@ -219,46 +227,64 @@ class HashFamily:
         out |= xs
         return out.T
 
+    def _prefixes(self, byte) -> np.ndarray:
+        """(m, k) uint16: the top 16 bits of the k hashes of each of m
+        elements, from their bytes ``byte`` ((4, m), ``_element_bytes``).
+
+        As tabulation is a plain XOR, the top 16 bits of a hash are the XOR
+        of the four ``_prefix_tables`` entries its element's bytes select.
+        This is the one prefix scan: ``_keys_below`` and ``min_hashes`` key
+        in full only the pairs whose prefix passes it.
+        """
+        q = self._prefix_tables()
+        top = q[0][byte[0]]
+        for t in (1, 2, 3):
+            top ^= q[t][byte[t]]
+        return top
+
+    def _pair_keys(self, xs, byte, j, fn) -> np.ndarray:
+        """uint64 keys of the pairs (``xs[j]``, function ``fn``) for index
+        arrays ``j`` and ``fn``, gathered exactly from the flat byte tables;
+        ``byte`` holds the bytes of ``xs`` (``_element_bytes``)."""
+        k = self.k
+        flat = self._byte_tables().reshape(-1)
+        h = flat[byte[0, j] * k + fn]
+        for t in (1, 2, 3):
+            h ^= flat[(byte[t, j] + 256 * t) * k + fn]
+        keys = np.left_shift(h, 32, dtype=np.uint64)
+        keys |= xs[j]
+        return keys
+
     def _keys_below(self, xs, bound, cap=None):
         """(fn, keys): the pair keys of ``xs`` (nonempty, uint64) under each
         function i that are <= ``bound[i]`` (uint64, one per function),
         ordered by fn, then by element; None as soon as more than ``cap``
         pairs pass the prefix test, when a cap is given.
 
-        As tabulation is a plain XOR, the top 16 bits of every hash are the
-        XOR of four ``_prefix_tables`` entries. A hash whose top 16 bits are
-        at most the bound's passes every key at or below it, and the few
-        above it that share its top bits, so only the pairs that pass are
-        keyed and compared in full. Prefixes are gathered 2^17 at a time
-        (256 KiB), a block that stays in cache, so the scan holds a few
-        bytes per element of ``xs`` beyond the pairs that pass. A merge into
-        rows that hold keys runs here, and so does a fill of empty rows, on
-        one bound drawn from the size of ``xs`` with a cap that bounds the
-        memory for a family whose hashes crowd under it.
+        A hash whose top 16 bits (``_prefixes``) are at most the bound's
+        passes every key at or below it, and the few above it that share
+        its top bits, so only the pairs that pass are keyed and compared in
+        full. Prefixes are gathered 2^17 at a time (256 KiB), a block that
+        stays in cache, so the scan holds a few bytes per element of ``xs``
+        beyond the pairs that pass. A merge into rows that hold keys runs
+        here, and so does a fill of empty rows, on one bound drawn from the
+        size of ``xs`` with a cap that bounds the memory for a family whose
+        hashes crowd under it.
         """
         k = self.k
-        q = self._prefix_tables()
         limit = (bound >> np.uint64(48)).astype(np.uint16)
-        byte = [((xs >> np.uint64(8 * t)) & np.uint64(255)).astype(np.intp) for t in range(4)]
+        byte = _element_bytes(xs)
         step = max(1, _GATHER_KEYS // k)
         hits, passed = [], 0
         for start in range(0, xs.size, step):
-            top = q[0][byte[0][start:start + step]]  # (step, k)
-            for t in (1, 2, 3):
-                top ^= q[t][byte[t][start:start + step]]
-            hits.append(np.flatnonzero(top <= limit) + start * k)
+            hits.append(np.flatnonzero(self._prefixes(byte[:, start:start + step]) <= limit) + start * k)
             passed += hits[-1].size
             if cap is not None and passed > cap:
                 return None
         # Function-major flat indices sort into (function, element) order.
         j, fn = np.divmod(np.concatenate(hits), k)
         fn, j = np.divmod(np.sort(fn * xs.size + j), xs.size)
-        flat = self._byte_tables().reshape(-1)
-        h = flat[byte[0][j] * k + fn]
-        for t in (1, 2, 3):
-            h ^= flat[(256 * t + byte[t][j]) * k + fn]
-        keys = np.left_shift(h, 32, dtype=np.uint64)
-        keys |= xs[j]
+        keys = self._pair_keys(xs, byte, j, fn)
         below = keys <= bound[fn]
         return fn[below], keys[below]
 
@@ -273,28 +299,33 @@ class HashFamily:
         """Per-function minimum of (hash, element) keys over ``elements``.
 
         Returns the k minima as uint64 keys (hash in the high 32 bits);
-        empty input returns an all-sentinel vector. The elements pass
-        ``as_element_set``, so they are checked, sorted and deduplicated,
-        and are hashed one block of 2^17 uint32 hashes at a time. Per
-        function, a block gives its least hash, the first element that
-        reaches it (the smallest, as the block is sorted) and one key from
-        the two; no uint64 key block or transpose is formed.
+        empty input returns an all-sentinel vector. The elements are
+        checked as ``as_element_set`` checks them; their order and repeats
+        do not change the minima. They are scanned on 16-bit hash prefixes
+        (``_prefixes``), one block of 2^17 at a time (256 KiB of uint16):
+        per function, only the pairs whose prefix is at most both the
+        block's least and the minimum so far are keyed in full and folded
+        into it. Few pairs tie a least prefix, so about k keys are formed
+        per block, and no uint32 or uint64 block.
         """
-        xs = as_element_set(elements)
+        xs = _as_elements(elements)
         k = self.k
         best = np.full(k, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
         step = max(1, _GATHER_KEYS // k)
         for start in range(0, xs.size, step):
             block = xs[start:start + step]
-            h = self._hashes(block)  # (block, k)
-            low = h.min(axis=0)
-            # Element-major flat indices; ties on a least hash are rare.
-            j, fn = np.divmod(np.flatnonzero(h == low), k)
-            first = np.full(k, block.size, dtype=np.intp)
-            np.minimum.at(first, fn, j)
-            keys = np.left_shift(low, 32, dtype=np.uint64)
-            keys |= block[first]
-            np.minimum(best, keys, out=best)
+            byte = _element_bytes(block)
+            top = self._prefixes(byte)  # (block, k)
+            low = top.min(axis=0)
+            if start:
+                np.minimum(low, (best >> np.uint64(48)).astype(np.uint16), out=low)
+            # Element-major flat indices of the pairs at or below the limit.
+            j, fn = np.divmod(np.flatnonzero(top <= low), k)
+            keys = self._pair_keys(block, byte, j, fn)
+            if start or fn.size > k:
+                np.minimum.at(best, fn, keys)
+            else:  # each function's one least pair of the first block
+                best[fn] = keys
         return best
 
 

@@ -118,9 +118,9 @@ class LshIndex:
         if set_id in self._ids:
             raise ValueError(f"set id {set_id!r} already indexed")
         self._ids.add(set_id)
-        raw, w = sig.values[:b * r].tobytes(), 8 * r
-        for j in range(b):
-            self._buckets.setdefault((j, raw[j * w:(j + 1) * w]), []).append(set_id)
+        # One bytes object per band: a void view of its r entries.
+        for j, band in enumerate(sig.values[:b * r].view(f"V{8 * r}").tolist()):
+            self._buckets.setdefault((j, band), []).append(set_id)
 
     def candidates(self) -> set:
         """All unordered id pairs sharing at least one bucket, deduplicated."""

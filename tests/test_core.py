@@ -709,9 +709,10 @@ def test_bulk_paths_match_across_block_sizes(monkeypatch, family, cap):
 
 def test_bulk_paths_hold_bounded_memory():
     """Traced peak of init (also under a family whose hashes all crowd
-    under the bound of a merge into empty rows), min_hashes,
-    check_invariants and a fault's rebuild over 2^16 elements at k=256: the
-    keys are hashed in blocks, not all at once (128 MiB)."""
+    under the bound of a merge into empty rows), min_hashes (also under
+    that family and one whose every prefix ties at 0), check_invariants
+    and a fault's rebuild over 2^16 elements at k=256: the keys are hashed
+    in blocks, not all at once (128 MiB)."""
     fam = new_family(256, 1)
     fam.key_one(0)  # builds the byte tables outside the traced region
     xs = np.random.default_rng(16).choice(1 << 32, size=1 << 16, replace=False).astype(np.uint64)
@@ -724,10 +725,13 @@ def test_bulk_paths_hold_bounded_memory():
         assert rebuilt.fault_count == 1
 
     narrow = family_from_tables(fam.tables & 0x1FFFF)  # every pair passes the prefix test
-    narrow.key_one(0)
+    flat = family_from_tables(fam.tables & 0xFFFF)  # every prefix is 0
+    for family in (narrow, flat):
+        family.key_one(0)
     for run, limit in ((lambda: BufferedSketch.init(xs, fam, 32), 32), (lambda: fam.min_hashes(xs), 16),
                        (lambda: sketch.check_invariants(xs), 32), (fault_rebuild, 32),
-                       (lambda: BufferedSketch.init(xs, narrow, 32), 32)):
+                       (lambda: BufferedSketch.init(xs, narrow, 32), 32),
+                       (lambda: narrow.min_hashes(xs), 16), (lambda: flat.min_hashes(xs), 16)):
         tracemalloc.start()
         try:
             run()
@@ -950,20 +954,20 @@ class TestDeferredRead:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_second_read_hashes_nothing(self, monkeypatch, kind):
-        """The first read hashes each element once per function and keys
-        none of them in bulk; the second hashes nothing."""
+        """The first read scans each element's prefixes once and keys none
+        of them in bulk; the second hashes nothing."""
         fam, xs = self._family(kind), self._elements(core._PENDING_CAP - 1)
         sketch = BufferedSketch.init(xs, fam, self.ELL)
-        hashed, hashes = [], HashFamily._hashes
+        hashed, prefixes = [], HashFamily._prefixes
 
-        def counted(family, ys, *rest):
-            hashed.append(ys.size)
-            return hashes(family, ys, *rest)
+        def counted(family, byte):
+            hashed.append(byte.shape[1])
+            return prefixes(family, byte)
 
         def refused(*args):
             raise AssertionError("keys_many on the read of queued elements")
 
-        monkeypatch.setattr(HashFamily, "_hashes", counted)
+        monkeypatch.setattr(HashFamily, "_prefixes", counted)
         monkeypatch.setattr(HashFamily, "keys_many", refused)
         first = sketch.signature()
         assert sum(hashed) == xs.size
@@ -998,6 +1002,7 @@ class TestDeferredRead:
             raise AssertionError("is_empty hashed the queued elements")
 
         monkeypatch.setattr(HashFamily, "_hashes", refused)
+        monkeypatch.setattr(HashFamily, "_prefixes", refused)
         monkeypatch.setattr(HashFamily, "_keys_below", refused)
         assert not sketch.is_empty() and len(sketch._pending) == xs.size
         assert BufferedSketch(fam, self.ELL).is_empty()

@@ -213,22 +213,35 @@ def _tied_family():
 
 
 def test_min_hashes_matches_direct_min(monkeypatch):
-    """Against the keys' column minimum and the nibble oracle's; a tie on a
-    function's least hash goes to the smaller element, within a block and
-    across blocks; unsorted input with repeats reads as its set. Blocks of
-    7 elements must not change the result."""
-    fam, tied = new_family(16, 5), _tied_family()
-    xs = np.arange(1000, dtype=np.uint64)
-    direct = fam.keys_many(xs).min(axis=0)
-    assert np.array_equal(direct, nibble_keys(fam, xs).min(axis=0))
-    shuffled = np.random.default_rng(5).permutation(np.concatenate((xs, xs[::3], xs[-7:])))
-    rest = list(range(0x10, 0x40))
+    """Against the keys' column minimum and the nibble oracle's, neither of
+    which scans prefixes, at k = 16 and 256: over 1000 small elements, 300
+    below 2^20 (an acp set) and 300 of 32 bits; under a random family and
+    two crowded ones, the low 17 and the low 16 bits of its hashes. Under
+    the latter every prefix is 0, so full keys decide every minimum. A tie
+    on a function's least hash goes to the smaller element, within a block
+    and across blocks; unsorted input with repeats reads as its set. Blocks
+    of 7 elements must not change the result."""
+    rng = np.random.default_rng(5)
+    inputs = (np.arange(1000, dtype=np.uint64),
+              rng.choice(1 << 20, size=300, replace=False).astype(np.uint64),
+              rng.choice(1 << 32, size=300, replace=False).astype(np.uint64))
+    cases = []
+    for k in (16, 256):
+        fam = new_family(k, 5)
+        for family in [fam] + [family_from_tables(fam.tables & mask) for mask in (0x1FFFF, 0xFFFF)]:
+            for xs in inputs:
+                direct = family.keys_many(xs).min(axis=0)
+                assert np.array_equal(direct, nibble_keys(family, xs).min(axis=0))
+                shuffled = rng.permutation(np.concatenate((xs, xs[::3], xs[-7:])))
+                cases.append((family, xs, shuffled, direct))
+    tied, rest = _tied_family(), list(range(0x10, 0x40))
     for block in (None, 7):
-        if block is not None:
-            monkeypatch.setattr(hashing, "_GATHER_KEYS", block * fam.k)
-        assert np.array_equal(fam.min_hashes(xs), direct)
-        assert np.array_equal(fam.min_hashes(shuffled), direct)
-        assert np.array_equal(fam.min_hashes(shuffled.tolist()), direct)
+        for family, xs, shuffled, direct in cases:
+            if block is not None:
+                monkeypatch.setattr(hashing, "_GATHER_KEYS", block * family.k)
+            assert np.array_equal(family.min_hashes(xs), direct)
+            assert np.array_equal(family.min_hashes(shuffled), direct)
+            assert np.array_equal(family.min_hashes(shuffled.tolist()), direct)
         if block is not None:
             monkeypatch.setattr(hashing, "_GATHER_KEYS", block * tied.k)
         for members, winner in (([0x303, 0x300, 3], 3), ([0x303, 0x300], 0x300)):

@@ -88,6 +88,21 @@ class TestIndex:
         idx.insert("rotated", _sig(np.roll(base.reshape(params.b, params.r), 1, axis=1).ravel()))
         assert idx.candidates() == set()
 
+    def test_buckets_are_keyed_by_each_bands_raw_bytes(self):
+        """Each band's bucket key is (band, the raw bytes of its r entries),
+        zero bytes at either end included; entries past b * r are unused."""
+        rng = np.random.default_rng(10)
+        params = BandingParams(b=5, r=3)
+        idx, want = LshIndex(params), {}
+        for i in range(40):
+            values = rng.integers(0, 3, size=17).astype(np.uint64) << np.uint64(rng.choice([0, 56]))
+            idx.insert(i, _sig(values))
+            raw = values.tobytes()
+            for j in range(params.b):
+                want.setdefault((j, raw[24 * j:24 * (j + 1)]), []).append(i)
+        assert idx._buckets == want
+        assert any(len(ids) > 1 for ids in want.values())
+
     def test_seed_does_not_change_candidates(self):
         rng = np.random.default_rng(9)
         sigs = [_sig(rng.integers(0, 3, size=8).astype(np.uint64)) for _ in range(60)]
