@@ -18,13 +18,14 @@ from __future__ import annotations
 import struct
 import sys
 from bisect import bisect_left
+from functools import lru_cache
 from itertools import chain
 from operator import index
 
 import numpy as np
 
 from .errors import EmptySetError, RecoveryError
-from .hashing import MAX_UNIVERSE, HashFamily, _sorted_set, as_element_set
+from .hashing import MAX_UNIVERSE, HashFamily, _as_elements, _sorted_set, as_element_set
 
 #: Sentinel key for the (+inf, +inf) pair; compares >= every real pair key.
 TOP = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -85,6 +86,34 @@ _PENDING_CAP = 4096
 #: 0.79 at 600) and 240 at ell=2 (0.34-0.39 against 0.38-0.50 ms at 160,
 #: 0.54-0.60 against 0.48-0.59 at 320).
 _BOUND_MIN = 40
+
+
+def _rows(buf: np.ndarray, size: np.ndarray, delta: np.ndarray) -> tuple:
+    """A sketch's rows as ``BufferedSketch._set_rows`` takes them: the
+    (k, ell) keys, the k sizes and the k thresholds, then the views of them
+    that the stream ops index."""
+    # Flat views of the same memory: indexing them reads and writes Python
+    # ints, without a numpy call. Then the hash of each threshold, a
+    # strided view of its most significant uint32 word, so it follows every
+    # write to delta.
+    hi = 1 if sys.byteorder == "little" else 0
+    return (buf, size, delta, memoryview(buf).cast("B").cast("Q"),
+            memoryview(size).cast("B").cast("q"), memoryview(delta).cast("B").cast("Q"),
+            delta.view(np.uint32)[hi::2])
+
+
+@lru_cache(maxsize=None)
+def _empty_rows(k: int, ell: int) -> tuple:
+    """The rows of a sketch that holds no key, shared by every such sketch
+    of (k, ell) and read-only: all TOP, sizes 0, thresholds TOP. A write
+    to them raises; ``_merge`` and ``from_bytes`` take private rows first
+    (``BufferedSketch._own_rows``)."""
+    buf = np.full((k, ell), TOP, dtype=np.uint64)
+    size = np.zeros(k, dtype=np.int64)
+    delta = np.full(k, TOP, dtype=np.uint64)
+    for a in (buf, size, delta):
+        a.setflags(write=False)
+    return _rows(buf, size, delta)
 
 
 def _recover(recover, x: int) -> np.ndarray:
@@ -158,19 +187,26 @@ class BufferedSketch:
     Inserts are deferred: each is validated at once and applied when the
     state is next read (``delete``, ``signature``, ``to_bytes``,
     ``check_invariants``) or when _PENDING_CAP are pending.
-    ``init`` of fewer than _PENDING_CAP elements queues them the same way.
-    While the rows are empty, ``signature`` reads the pending elements'
-    minimum instead (``HashFamily.min_hashes``) and leaves them queued, so
-    a set that is built and only read never fills its rows; ``is_empty``
-    reads the queue and row 0's size. Empty rows are filled (``_fill``) by
-    keying only the pairs under one bound with a margin, or, for a small
+    ``init`` of fewer than _PENDING_CAP elements queues them as their
+    checked uint64 array, which the first insert turns into a list. Until
+    its first write a sketch holds no rows of its own: it reads the empty
+    rows that every sketch of its (k, ell) shares (``_empty_rows``), and a
+    fault that recovers the empty set returns to them. While the rows are
+    empty, ``signature`` reads the pending elements' minimum instead
+    (``HashFamily.min_hashes``) and leaves them queued, so a set that is
+    built and only read never fills its rows: at 300 elements, k=256 and
+    ell=32 it holds its 2.4 KB array and k signature values, not 64 KiB
+    of rows. ``is_empty`` reads the queue and row 0's size. Empty rows are
+    filled (``_fill``) by keying only the pairs under one bound with a
+    margin, or, for a small
     set or a rare short row, every pair of the first _PENDING_CAP elements.
     A delete updates the element index and the row sizes at once, but
     queues the removal of x's keys from their rows, which the next flush
     applies before the pending inserts and a fault discards (its rebuild
     replaces every row). A read can therefore write, so even read-only
     calls on one sketch must not run concurrently; distinct sketches may
-    share one immutable HashFamily across threads.
+    share one immutable HashFamily, and their read-only empty rows, across
+    threads.
     """
 
     __slots__ = (
@@ -190,20 +226,21 @@ class BufferedSketch:
 
     # -- construction -----------------------------------------------------
 
+    def _set_rows(self, rows: tuple) -> None:
+        """Adopt ``rows``, a ``_rows`` tuple, as the sketch's rows."""
+        (self._buf, self._size, self._delta,
+         self._bufv, self._sizev, self._deltav, self._dhash) = rows
+
+    def _own_rows(self) -> None:
+        """Give the sketch private copies of the shared empty rows, before
+        it writes into them; rows it owns already are kept."""
+        if not self._buf.flags.writeable:
+            self._set_rows(_rows(self._buf.copy(), self._size.copy(), self._delta.copy()))
+
     def _set_empty(self):
-        k = self.family.k
-        self._buf = np.full((k, self.ell), TOP, dtype=np.uint64)
-        self._size = np.zeros(k, dtype=np.int64)
-        self._delta = np.full(k, TOP, dtype=np.uint64)
-        # Flat views of the same memory for the stream ops: indexing them
-        # reads and writes Python ints, without a numpy call.
-        self._bufv = memoryview(self._buf).cast("B").cast("Q")
-        self._sizev = memoryview(self._size).cast("B").cast("q")
-        self._deltav = memoryview(self._delta).cast("B").cast("Q")
-        # The hash of each threshold, a strided view of its most
-        # significant uint32 word, so it follows every write to _delta.
-        hi = 1 if sys.byteorder == "little" else 0
-        self._dhash = self._delta.view(np.uint32)[hi::2]
+        self._set_rows(_empty_rows(self.family.k, self.ell))
+        # Inserts not yet applied: a list of ints, or init's checked array,
+        # which only ever meets empty rows.
         self._pending = []
         # Queued removals, flat: each deleted element, then its entries
         # from the element index. Holds at most k * ell entries, since each
@@ -223,21 +260,25 @@ class BufferedSketch:
 
         Duplicate elements are tolerated and deduplicated; elements are
         checked as ``hashing.as_element_set`` checks them. A set of fewer
-        than _PENDING_CAP elements is queued as pending inserts, a Python
-        int each (about 11 KB for 300 elements), and the first write or
-        state read merges it into the empty rows, leaving the bits an
-        immediate merge leaves. A larger one is filled by ``_merge`` at
-        once, keying only the pairs under one bound, in 2^17-pair blocks,
-        when it has at least _BOUND_MIN * ell elements. The merge's working
+        than _PENDING_CAP elements is queued as pending inserts, kept as
+        the checked uint64 array, unsorted and with its repeats (2.4 KB for
+        300 elements), with no rows of its own; the first write or state
+        read merges it into the empty rows, where the flush sorts it and
+        drops repeats, leaving the bits an immediate merge leaves. A larger
+        one is filled by ``_merge`` at once, keying only the pairs under one
+        bound, in 2^17-pair blocks, when it has at least _BOUND_MIN * ell
+        elements. The merge's working
         memory is some 40 bytes per element plus one block: a traced peak
         of 3.5 MiB for 2^16 elements at k=256, ell=32.
         """
         sketch = cls(family, ell)
-        xs = as_element_set(elements)
+        xs = _as_elements(elements)
         if xs.size < _PENDING_CAP:
-            sketch._pending = xs.tolist()
+            # A copy when xs is the caller's array, so later writes to it
+            # never reach the queue.
+            sketch._pending = xs.copy() if xs is elements or xs.base is not None else xs
         else:
-            sketch._merge(xs)
+            sketch._merge(_sorted_set(xs))
         return sketch
 
     # -- stream operations -------------------------------------------------
@@ -314,7 +355,11 @@ class BufferedSketch:
         if not 0 <= x < MAX_UNIVERSE:
             raise ValueError(f"element {x} outside 32-bit universe")
         pending = self._pending
-        pending.append(x)
+        try:
+            pending.append(x)
+        except AttributeError:  # init's array: listed, in order, at the first insert
+            pending = self._pending = pending.tolist()
+            pending.append(x)
         if len(pending) >= _PENDING_CAP:
             self._flush()
 
@@ -341,20 +386,22 @@ class BufferedSketch:
                     buf[hi - 1] = _TOP_INT
             dropped.clear()
         pending = self._pending
-        if not pending:
+        if not len(pending):
             return
         self._pending = []
         if len(pending) < _MERGE_MIN and self._sizev[0]:
             for x in pending:
                 self._insert_one(x)
-        else:  # insert checked each element
-            self._merge(_sorted_set(np.fromiter(pending, np.uint64, len(pending))))
+        else:  # insert and init checked each element
+            self._merge(_sorted_set(np.asarray(pending, dtype=np.uint64)))
 
     def _merge(self, xs: np.ndarray) -> None:
         """Insert the elements ``xs`` (``as_element_set`` output: sorted,
         no repeats) at once, leaving the state that inserting them one by
         one leaves. ``init`` of a large set, a fault's rebuild, a long flush
         and a flush into empty rows run here, each with no removal queued.
+        It is the one writer of empty rows, so it first takes private rows
+        in place of the shared ones (``_own_rows``).
 
         During inserts a threshold only falls, and a row that fills keeps
         its smallest keys. So row i ends as the smallest min(ell, .) of its
@@ -369,6 +416,7 @@ class BufferedSketch:
         built (``HashFamily._keys_below``) and merged into the rows.
         """
         self._where = None
+        self._own_rows()
         k, ell, size, delta = self.family.k, self.ell, self._size, self._delta
         if (delta == TOP).all():
             if self._sizev[0]:
@@ -514,10 +562,12 @@ class BufferedSketch:
         x = index(x)  # hashing.as_element, inlined as in insert
         if not 0 <= x < MAX_UNIVERSE:
             raise ValueError(f"element {x} outside 32-bit universe")
-        if self._pending:
-            self._flush()
         if not self._sizev[0]:
-            return  # empty set: nothing buffered anywhere
+            if not len(self._pending):
+                return  # empty set: nothing buffered anywhere
+            self._flush()  # the queue may be init's array, which len() reads
+        elif self._pending:  # rows that hold keys: a list
+            self._flush()
         where = self._where
         if where is None:
             where = self._where = self._element_index()
@@ -545,7 +595,8 @@ class BufferedSketch:
             self.fault_count += 1
         self.recovery_elements_streamed += int(recovered.size)
         self._set_empty()
-        self._merge(recovered)
+        if recovered.size:
+            self._merge(recovered)
 
     def signature(self) -> Signature:
         """The k-MinHash signature of the tracked set, in O(k) time.
@@ -562,11 +613,13 @@ class BufferedSketch:
         """
         if not self._sizev[0]:  # no removal is queued into empty rows
             pending = self._pending
-            if not pending:
+            if not len(pending):
                 raise EmptySetError("signature undefined for an empty set")
             count, values = self._read
             if count < len(pending):
-                values = np.minimum(values, self.family.min_hashes(pending[count:]) >> _SHIFT)
+                # insert and init checked each element
+                new = np.asarray(pending[count:], dtype=np.uint64)
+                values = np.minimum(values, self.family._min_keys(new) >> _SHIFT)
                 self._read = (len(pending), values)
             return Signature(values.copy(), self.family.family_key)
         if self._pending or self._dropped:
@@ -583,7 +636,7 @@ class BufferedSketch:
         """Whether the tracked set is empty, without a flush: a pending
         insert adds an element, and a delete that would empty a row faults,
         so row 0 is empty only when the set is."""
-        return not (self._pending or self._sizev[0])
+        return not (len(self._pending) or self._sizev[0])
 
     def _structure_faults(self) -> list:
         """Violations visible without the tracked set, in O(k * ell).
@@ -730,6 +783,7 @@ class BufferedSketch:
         elif family.k != k or family.master_seed != seed:
             raise ValueError("supplied family does not match the checkpoint")
         sketch = cls(family, ell)
+        sketch._own_rows()
         for i, (delta, s, start) in enumerate(rows):
             sketch._buf[i, :s] = np.frombuffer(data, dtype="<u8", count=s, offset=start)
             sketch._size[i] = s

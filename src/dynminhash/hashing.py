@@ -46,12 +46,14 @@ def as_element(x) -> int:
 
 
 def _as_elements(elements) -> np.ndarray:
-    """``elements`` in order, repeats kept, as a contiguous uint64 array;
-    checked as ``as_element_set`` documents, by one min/max pass."""
+    """``elements`` in order, repeats kept, as a flat contiguous uint64
+    array; checked as ``as_element_set`` documents, by one min/max pass."""
     if isinstance(elements, np.ndarray):
         xs = elements
     else:  # a list or tuple converts as it is; any other iterable is listed first
         xs = np.asarray(elements if isinstance(elements, (list, tuple)) else list(elements))
+    if xs.ndim != 1:
+        xs = xs.reshape(-1)
     if xs.size == 0:
         return np.empty(0, dtype=np.uint64)
     if xs.dtype.kind not in "iu":
@@ -308,7 +310,11 @@ class HashFamily:
         into it. Few pairs tie a least prefix, so about k keys are formed
         per block, and no uint32 or uint64 block.
         """
-        xs = _as_elements(elements)
+        return self._min_keys(_as_elements(elements))
+
+    def _min_keys(self, xs: np.ndarray) -> np.ndarray:
+        """``min_hashes`` of the contiguous uint64 array ``xs``, whose
+        elements are checked already (``_as_elements``)."""
         k = self.k
         best = np.full(k, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
         step = max(1, _GATHER_KEYS // k)

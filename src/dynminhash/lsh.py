@@ -95,16 +95,16 @@ class AcpScore:
 class LshIndex:
     """Banded bucket index over signatures.
 
-    A bucket is keyed by the band index and the raw bytes of the band's r
-    signature entries. The keys are exact: two signatures share a bucket
-    exactly when they agree on every entry of that band, and bucket spaces
-    never collide across bands. ``seed`` is accepted for compatibility with
+    Each band has its own dict of buckets, keyed by the raw bytes of the
+    band's r signature entries. The keys are exact: two signatures share a
+    bucket exactly when they agree on every entry of that band, and bucket
+    spaces never collide across bands. ``seed`` is accepted for compatibility with
     callers that pass one; it does not affect the buckets.
     """
 
     def __init__(self, params: BandingParams, seed: int = 0):
         self.params = params
-        self._buckets: dict = {}
+        self._buckets: list = [{} for _ in range(params.b)]
         self._ids: set = set()
 
     def __len__(self) -> int:
@@ -119,16 +119,16 @@ class LshIndex:
             raise ValueError(f"set id {set_id!r} already indexed")
         self._ids.add(set_id)
         # One bytes object per band: a void view of its r entries.
-        for j, band in enumerate(sig.values[:b * r].view(f"V{8 * r}").tolist()):
-            self._buckets.setdefault((j, band), []).append(set_id)
+        for buckets, band in zip(self._buckets, sig.values[:b * r].view(f"V{8 * r}").tolist()):
+            buckets.setdefault(band, []).append(set_id)
 
     def candidates(self) -> set:
         """All unordered id pairs sharing at least one bucket, deduplicated."""
         out = set()
-        for ids in self._buckets.values():
-            if len(ids) > 1:
-                for pair in combinations(sorted(ids), 2):
-                    out.add(pair)
+        for buckets in self._buckets:
+            for ids in buckets.values():
+                if len(ids) > 1:
+                    out.update(combinations(sorted(ids), 2))
         return out
 
 

@@ -490,9 +490,10 @@ def test_criterion_11_acp_planted_pairs():
     returned = index.candidates()
     # Exact agreement with the quadratic bucket-scan oracle.
     brute = set()
-    for ids in index._buckets.values():
-        for a, b in itertools.combinations(sorted(ids), 2):
-            brute.add((a, b))
+    for buckets in index._buckets:  # one dict per band
+        for ids in buckets.values():
+            for a, b in itertools.combinations(sorted(ids), 2):
+                brute.add((a, b))
     oracle_exact = returned == brute
     universe_pairs = list(itertools.combinations(sorted(sets), 2))
     exact = {p: exact_jaccard(sets[p[0]], sets[p[1]]) for p in universe_pairs}

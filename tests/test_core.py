@@ -980,13 +980,13 @@ class TestDeferredRead:
         sketch hash N elements."""
         fam, xs = self._family(kind), self._elements(300)
         sketch, hashed = BufferedSketch(fam, self.ELL), []
-        min_hashes = HashFamily.min_hashes
+        min_keys = HashFamily._min_keys  # min_hashes of checked elements
 
-        def counted(family, elements):
-            hashed.append(len(elements))
-            return min_hashes(family, elements)
+        def counted(family, xs):
+            hashed.append(len(xs))
+            return min_keys(family, xs)
 
-        monkeypatch.setattr(HashFamily, "min_hashes", counted)
+        monkeypatch.setattr(HashFamily, "_min_keys", counted)
         for n, x in enumerate(xs.tolist(), 1):
             sketch.insert(x)
             assert sketch.signature().values.tolist() == ref_signature(fam, xs[:n]).tolist()
@@ -1032,6 +1032,118 @@ class TestDeferredRead:
         assert sketch.check_invariants(left).ok
 
 
+class TestSharedEmptyRows:
+    """A sketch that was never written reads the read-only empty rows that
+    every sketch of its (k, ell) shares; its first write takes private
+    rows, and a fault that recovers the empty set returns to the shared
+    ones. ``init`` of a small set queues its checked array."""
+
+    K, ELL = 8, 4
+
+    def _unwritten(self, fam):
+        """(sketch, members): a fresh sketch, one that only queued its set
+        and has been read, and one whose fault recovered the empty set."""
+        queued = BufferedSketch.init([3, 9, 3], fam, self.ELL)
+        queued.signature()
+        recovered = BufferedSketch.init([5], fam, self.ELL)
+        recovered.delete(5, lambda: [])
+        assert recovered.fault_count == 0
+        return [(BufferedSketch(fam, self.ELL), []), (queued, [3, 9]), (recovered, [])]
+
+    def _assert_empty_rows(self, sketch):
+        assert (sketch._buf == TOP).all() and not sketch._size.any() and (sketch._delta == TOP).all()
+
+    def test_writes_to_unwritten_rows_raise(self):
+        fam = new_family(self.K, 3)
+        for sketch, _ in self._unwritten(fam):
+            for rows, at in ((sketch._buf, (0, 0)), (sketch._size, 0), (sketch._delta, 0),
+                             (sketch._dhash, 0)):
+                with pytest.raises(ValueError):
+                    rows[at] = 1
+            for view in (sketch._bufv, sketch._sizev, sketch._deltav):
+                with pytest.raises(TypeError):
+                    view[0] = 1
+        self._assert_empty_rows(BufferedSketch(fam, self.ELL))
+
+    def test_first_write_takes_private_rows(self):
+        fam = new_family(self.K, 5)
+        shared = BufferedSketch(fam, self.ELL)
+        for sketch, members in self._unwritten(fam):
+            assert sketch._buf is shared._buf and sketch._size is shared._size
+            assert sketch._delta is shared._delta
+            sketch.insert(11)
+            buffered(sketch)
+            assert sketch._buf is not shared._buf and sketch._buf.flags.writeable
+            assert sketch.check_invariants(members + [11]).ok
+            self._assert_empty_rows(shared)
+            self._assert_empty_rows(BufferedSketch(fam, self.ELL))
+        wide = BufferedSketch(fam, self.ELL + 1)
+        assert wide._buf.shape == (self.K, self.ELL + 1)
+
+    def test_unwritten_sketch_reads_round_trips_and_inserts(self):
+        fam = new_family(self.K, 7)
+        for sketch, members in self._unwritten(fam):
+            assert sketch.is_empty() == (not members)
+            data = sketch.to_bytes()
+            assert sketch.check_invariants(members).ok
+            clone = BufferedSketch.from_bytes(data, family=fam)
+            assert state_equal(clone, sketch) and clone.to_bytes() == data
+            for restored in (clone, sketch):
+                restored.insert(11)
+                assert restored.signature().values.tolist() == ref_signature(fam, members + [11]).tolist()
+                assert restored.check_invariants(members + [11]).ok
+        self._assert_empty_rows(BufferedSketch(fam, self.ELL))
+
+    def test_init_queues_a_copy_of_the_checked_array(self):
+        """The queue is the checked elements as given, repeats and order
+        kept; a later write to the caller's array never reaches it."""
+        fam = new_family(self.K, 9)
+        xs = np.array([7, 2, 7, 2**32 - 1], dtype=np.uint64)
+        sketch = BufferedSketch.init(xs, fam, self.ELL)
+        assert isinstance(sketch._pending, np.ndarray) and sketch._pending.tolist() == xs.tolist()
+        xs[:] = 0
+        assert sketch.signature().values.tolist() == ref_signature(fam, [7, 2, 2**32 - 1]).tolist()
+        assert buffered(sketch).to_bytes() == buffered(BufferedSketch.init([2, 7, 2**32 - 1], fam, self.ELL)).to_bytes()
+        with pytest.raises(ValueError):
+            BufferedSketch.init(np.array([1, 2**32], dtype=np.uint64), fam, self.ELL)
+
+    def test_init_takes_a_2d_array_as_its_flat_elements(self):
+        """An n-d array or nested list holds the elements of its flat form,
+        for ``init``'s queue and for ``min_hashes`` alike."""
+        fam = new_family(self.K, 11)
+        grid = np.array([[4, 8], [15, 4]], dtype=np.uint64)
+        want = ref_signature(fam, [4, 8, 15]).tolist()
+        for elements in (grid, grid.tolist()):
+            sketch = BufferedSketch.init(elements, fam, self.ELL)
+            assert sketch._pending.shape == (4,)
+            grid[0, 0] = 16  # the caller's array, written after init
+            assert sketch.signature().values.tolist() == want
+            grid[0, 0] = 4
+            assert (fam.min_hashes(elements) >> np.uint64(32)).tolist() == want
+
+    def test_queued_sets_hold_no_rows(self):
+        """200 ``init`` + ``signature`` calls on 300-element sets at k=256,
+        ell=32 retain under 4 MiB traced: the queued array and the read,
+        not 64 KiB of rows per set (16.1 MiB when every sketch built its
+        own)."""
+        fam = new_family(256, 17)
+        rng = np.random.default_rng(17)
+        sets = [rng.choice(1 << 32, size=300, replace=False).astype(np.uint64) for _ in range(200)]
+        BufferedSketch.init(sets[0], fam, 32).signature()  # tables and shared rows, untraced
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = []
+            for xs in sets:
+                sketch = BufferedSketch.init(xs, fam, 32)
+                sketch.signature()
+                kept.append(sketch)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 4 * 2**20
+
+
 class TestCheckInvariants:
     def test_detects_injected_pair_above_threshold(self):
         fam = new_family(2, 19)
@@ -1044,7 +1156,7 @@ class TestCheckInvariants:
 
     def test_detects_oversized_buffer(self):
         fam = new_family(1, 23)
-        sk = BufferedSketch.init(range(10), fam, 3)
+        sk = buffered(BufferedSketch.init(range(10), fam, 3))
         sk._size[0] = 5
         report = sk.check_invariants(range(10))
         assert not report.ok

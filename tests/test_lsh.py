@@ -19,10 +19,15 @@ def _sig(values, k=None):
     return Signature(values, family_key=(0, k or len(values)))
 
 
+def bucket_map(index: LshIndex) -> dict:
+    """The index's buckets as one (band, bytes) -> ids mapping."""
+    return {(j, band): ids for j, buckets in enumerate(index._buckets) for band, ids in buckets.items()}
+
+
 def brute_force_candidates(index: LshIndex) -> set:
     """Quadratic scan of every bucket list; the oracle for candidates()."""
     pairs = set()
-    for ids in index._buckets.values():
+    for ids in bucket_map(index).values():
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
                 pairs.add(tuple(sorted((a, b))))
@@ -42,7 +47,7 @@ class TestIndex:
         idx = LshIndex(params, seed=2)
         idx.insert(1, _sig([5, 6, 7, 8, 9, 10]))
         idx.insert(2, _sig([5, 6, 7, 8, 9, 10]))
-        shared = sum(1 for ids in idx._buckets.values() if len(ids) == 2)
+        shared = sum(1 for ids in bucket_map(idx).values() if len(ids) == 2)
         assert shared == params.b
 
     def test_multi_band_collisions_deduplicated(self):
@@ -100,7 +105,7 @@ class TestIndex:
             raw = values.tobytes()
             for j in range(params.b):
                 want.setdefault((j, raw[24 * j:24 * (j + 1)]), []).append(i)
-        assert idx._buckets == want
+        assert bucket_map(idx) == want
         assert any(len(ids) > 1 for ids in want.values())
 
     def test_seed_does_not_change_candidates(self):
