@@ -10,6 +10,7 @@ carries a versioned schema tag.
 
 from __future__ import annotations
 
+import gc
 import time
 from collections import Counter
 from itertools import combinations
@@ -82,7 +83,11 @@ def _replay(sketch, events):
     """Replay updates and signature queries against a fresh store.
 
     Returns (seconds inside sketch calls, queries that selected an empty row).
+    Collects garbage first: a full collection of objects left by earlier
+    work (a test suite's, say) would otherwise land in whichever replay
+    crosses the collector's threshold, adding tens of ms to that replay.
     """
+    gc.collect()
     store = SetStore()
     clock = time.perf_counter
     total, errors = 0.0, 0

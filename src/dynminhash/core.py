@@ -107,7 +107,8 @@ def _empty_rows(k: int, ell: int) -> tuple:
     """The rows of a sketch that holds no key, shared by every such sketch
     of (k, ell) and read-only: all TOP, sizes 0, thresholds TOP. A write
     to them raises; ``_merge`` and ``from_bytes`` take private rows first
-    (``BufferedSketch._own_rows``)."""
+    (``BufferedSketch._own_rows``). Kept for the life of the process:
+    k * ell * 8 bytes, and 16 * k more, for each (k, ell) in use."""
     buf = np.full((k, ell), TOP, dtype=np.uint64)
     size = np.zeros(k, dtype=np.int64)
     delta = np.full(k, TOP, dtype=np.uint64)
@@ -267,9 +268,9 @@ class BufferedSketch:
         drops repeats, leaving the bits an immediate merge leaves. A larger
         one is filled by ``_merge`` at once, keying only the pairs under one
         bound, in 2^17-pair blocks, when it has at least _BOUND_MIN * ell
-        elements. The merge's working
-        memory is some 40 bytes per element plus one block: a traced peak
-        of 3.5 MiB for 2^16 elements at k=256, ell=32.
+        elements. The merge's working memory is some 40 bytes per element
+        plus one block: a traced peak of 3.5 MiB for 2^16 elements at
+        k=256, ell=32.
         """
         sketch = cls(family, ell)
         xs = _as_elements(elements)
@@ -591,11 +592,10 @@ class BufferedSketch:
         # so x's removals and the queued ones are skipped (the rebuild
         # covers them).
         recovered = _recover(recover, x)
-        if recovered.size:
-            self.fault_count += 1
         self.recovery_elements_streamed += int(recovered.size)
         self._set_empty()
         if recovered.size:
+            self.fault_count += 1
             self._merge(recovered)
 
     def signature(self) -> Signature:

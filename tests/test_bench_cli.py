@@ -1,5 +1,7 @@
 import csv
+import gc
 import json
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -11,7 +13,7 @@ from dynminhash import bench
 from dynminhash.cli import EXIT_CONFIG_ERROR, EXIT_DATA_ERROR, run
 from dynminhash.lsh import BandingParams
 from dynminhash.similarity import exact_jaccard
-from dynminhash.streams import read_stream
+from dynminhash.streams import StreamOp, read_stream
 
 
 def _strip_timing(rows):
@@ -38,6 +40,32 @@ class TestBench:
         assert row["vanilla_time_s"] > 0 and row["bmh_time_s"] > 0
         assert row["speedup"] == row["vanilla_time_s"] / row["bmh_time_s"]
         assert row["hash_eval_ns"] > 0
+
+    def test_replay_collects_garbage_before_timing(self):
+        """A cycle left by earlier work is collected before the replay's
+        first timed call, so no replay pays a full collection of objects
+        that it did not make."""
+        class Node:
+            pass
+
+        collected, seen = [], []
+
+        class Probe:
+            def insert(self, x):
+                seen.append(list(collected))
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            node = Node()
+            node.cycle = node
+            weakref.finalize(node, collected.append, "node")
+            del node
+            bench._replay(Probe(), [StreamOp(0, 1, 1)])
+        finally:
+            if enabled:
+                gc.enable()
+        assert seen == [["node"]]
 
     # The buffered sketch's stream ops make no numpy call per op, so it
     # beats the one-call vanilla update even at this scale.
